@@ -5,10 +5,9 @@ parse errors.
 """
 
 import argparse
-import os
 import sys
 
-from .decomposition import load_td, parse_td, renumbered, write_td
+from .decomposition import load_td, renumbered, write_td
 from .errors import BudgetExceeded, FormatError
 from .graph import load_gr
 from .obstructions import (

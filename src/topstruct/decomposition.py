@@ -9,13 +9,12 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
-    BudgetExceeded,
     FormatError,
     InconsistentOrientation,
     NotAnEdge,
     NotASubtree,
 )
-from .graph import Graph, mask_of, popcount, set_of
+from .graph import Graph, mask_of, popcount
 from .separations import Separation, enumerate_separations
 
 
@@ -262,16 +261,19 @@ class TreeDecomposition:
 
     # -- leanness ------------------------------------------------------
 
-    def check_k_lean(self, g, k, budget=2_000_000):
+    def check_k_lean(self, g, k, budget=2_000_000, *, seps=None):
         """None iff k-lean; else the first violation in canonical order.
 
         Order: smallest p, then lexicographic (s, t), then the witness of
         minimum order with canonically smallest sides.  Requires
-        adhesion < k.
+        adhesion < k.  ``seps`` is S_k(g) as ``enumerate_separations``
+        returns it; a caller that checks many decompositions of one
+        graph passes it to enumerate S_k once.
         """
         if self.adhesion() >= k:
             raise ValueError("adhesion %d >= k=%d" % (self.adhesion(), k))
-        seps = enumerate_separations(g, k, budget=budget)
+        if seps is None:
+            seps = enumerate_separations(g, k, budget=budget)
         bag_masks = {node: mask_of(bag) for node, bag in self.bags.items()}
         ordered_nodes = sorted(self.nodes)
         # Ordered sides: both directions of every enumerated separation.

@@ -5,7 +5,7 @@ cold-path twin that also hands back the actual path system and a minimum
 vertex separator, which the lean builder needs for its exchange step.
 """
 
-from .graph import bits, mask_of, set_of
+from .graph import bits, mask_of
 
 
 def disjoint_path_system(g, src, dst, allowed):

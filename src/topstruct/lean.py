@@ -12,7 +12,7 @@ from .decomposition import TreeDecomposition
 from .errors import BudgetExceeded, InvariantViolation, NotAViolation
 from .flows import disjoint_path_system
 from .graph import bits, mask_of, set_of
-from .separations import is_separation
+from .separations import enumerate_separations, is_separation
 
 
 def _violation_is_genuine(g, td, viol):
@@ -152,30 +152,24 @@ def _prune(td):
 
 def build_k_lean(g, k, budget=None):
     """A k-lean tree-decomposition of g, by iterated improvement."""
+    td = TreeDecomposition.single_bag(g.vertices)
+    for _, td in lean_step_trace(g, k, budget):
+        pass
+    return td
+
+
+def lean_step_trace(g, k, budget=None):
+    """The steps of build_k_lean: yields (violation, td) after each
+    exchange.  S_k(g) is enumerated once, since g never changes."""
     if k < 1:
         raise ValueError("k must be positive")
     if budget is None:
         budget = 10 * g.n * g.n + 10
+    seps = enumerate_separations(g, k)
     td = TreeDecomposition.single_bag(g.vertices)
     steps = 0
     while True:
-        viol = td.check_k_lean(g, k)
-        if viol is None:
-            return td
-        steps += 1
-        if steps > budget:
-            raise BudgetExceeded("lean builder exceeded %d steps" % budget)
-        td = improvement_step(g, td, viol)
-
-
-def lean_step_trace(g, k, budget=None):
-    """Like build_k_lean but yields (violation, td) after each exchange."""
-    if budget is None:
-        budget = 10 * g.n * g.n + 10
-    td = TreeDecomposition.single_bag(g.vertices)
-    steps = 0
-    while True:
-        viol = td.check_k_lean(g, k)
+        viol = td.check_k_lean(g, k, seps=seps)
         if viol is None:
             return
         steps += 1

@@ -125,8 +125,10 @@ class _ModelSearch:
     """Backtracking branch-set assignment.
 
     Vertices are processed in a fixed order (descending degree, then
-    label); each is joined to an existing set, opens the next set, or is
-    skipped.  Sets are opened in processing order, which breaks the
+    label); each opens the next set, is joined to an existing set, or is
+    skipped, in that order.  Trying to open first reaches a model in a
+    dense graph long before growing one huge set and backtracking out of
+    it would.  Sets are opened in processing order, which breaks the
     set-permutation symmetry.  With ``seeds``, every set is pre-opened
     with its seed vertex and no further sets may open (Z-based mode).
     ``require_meet`` restricts to models whose every branch set meets
@@ -176,16 +178,16 @@ class _ModelSearch:
             return None
         v = self.order[i]
         vm = 1 << v
-        for j in range(len(self.sets)):
-            self.sets[j] |= vm
-            found = self._rec(i + 1)
-            self.sets[j] &= ~vm
-            if found is not None:
-                return found
         if self.can_open and len(self.sets) < self.m:
             self.sets.append(vm)
             found = self._rec(i + 1)
             self.sets.pop()
+            if found is not None:
+                return found
+        for j in range(len(self.sets)):
+            self.sets[j] |= vm
+            found = self._rec(i + 1)
+            self.sets[j] &= ~vm
             if found is not None:
                 return found
         return self._rec(i + 1)  # skip v
@@ -438,16 +440,6 @@ def check_rs_lemma(g, z, x, budget=2_000_000):
 
 
 # -- subdivision extraction --------------------------------------------
-
-
-def _branch_count_for(k, m):
-    """Largest r ≥ 2 whose subdivision the (k, m) parameters support."""
-    r = 2
-    while (r + 1) * r <= k and 2 * (r + 1) * r - 1 <= m:
-        r += 1
-    if r * (r - 1) > k or 2 * r * (r - 1) - 1 > m:
-        return None
-    return r
 
 
 def extract_subdivision(g, k, m, b, x, b0, budget=DEFAULT_BUDGET):

@@ -17,7 +17,6 @@ from .errors import (
     Indistinguishable,
     UncoloredComponent,
 )
-from .graph import mask_of
 from .lean import build_k_lean
 from .obstructions import (
     DEFAULT_BUDGET,
@@ -26,7 +25,6 @@ from .obstructions import (
     find_clique_model,
     find_k_blocks,
     find_z_based_model,
-    model_orientation,
 )
 from .separations import enumerate_separations, is_tight
 
@@ -244,9 +242,16 @@ def _model_home_nodes(g, m, td, budget):
 
     A node t qualifies exactly when some model has every branch set
     meeting the bag of t, which the constrained search decides directly.
+    Two exact prunes skip searches that cannot succeed: a minor has no
+    more vertices or edges than g, and m disjoint branch sets cannot all
+    meet a bag of fewer than m vertices.
     """
     homes = {}
+    if g.n < m or len(g.edges) < m * (m - 1) // 2:
+        return homes
     for t in sorted(td.nodes):
+        if len(td.bags[t]) < m:
+            continue
         model = find_clique_model(g, m, budget=budget, require_meet=td.bags[t])
         if model is not None:
             homes[t] = model

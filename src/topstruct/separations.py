@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import AdjacentPair, BudgetExceeded, SeparationDoesNotDecide
-from .graph import bits, mask_of, popcount, set_of
+from .graph import bits, mask_of, set_of
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ oracles.
 import itertools
 
 from .errors import BudgetExceeded
-from .graph import bits, mask_of, popcount
+from .graph import bits
 
 ORACLE_BUDGET = 2_000_000
 

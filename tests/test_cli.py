@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+from conftest import is_valid_model
+
 from topstruct.cli import main
 from topstruct.decomposition import load_td, renumbered
 from topstruct.graph import (
@@ -11,6 +13,7 @@ from topstruct.graph import (
     petersen_graph,
     write_gr,
 )
+from topstruct.obstructions import Model
 
 
 def _write(tmp_path, name, g):
@@ -93,12 +96,27 @@ def test_find_commands(tmp_path, capsys):
     assert "block 1: 1 2 3 4 5" in capsys.readouterr().out
     assert main(["find", "--kind", "minor", "--m", "6", pet]) == 0
     assert capsys.readouterr().out.strip() == "none"
-    assert main(["find", "--kind", "minor", "--m", "5", pet]) == 0
-    assert "x 1:" in capsys.readouterr().out
+    for path, g, m in [(pet, petersen_graph(), 5),
+                       (_write(tmp_path, "k7.gr", complete_graph(7)),
+                        complete_graph(7), 6)]:
+        assert main(["find", "--kind", "minor", "--m", str(m), path]) == 0
+        model = _parse_model(capsys.readouterr().out, m)
+        assert is_valid_model(g, model, m)
     assert main(["find", "--kind", "subdivision", "--r", "4", k5]) == 0
     assert "bv " in capsys.readouterr().out
     assert main(["find", "--kind", "zmodel", "--z", "1,2,3", k5]) == 0
     assert "x 1: 1" in capsys.readouterr().out
+
+
+def _parse_model(text, m):
+    """The branch sets printed by ``find --kind minor``."""
+    lines = [line for line in text.splitlines() if line.startswith("x ")]
+    sets = []
+    for i, line in enumerate(lines, start=1):
+        label, _, verts = line.partition(":")
+        assert label == "x %d" % i
+        sets.append(frozenset(int(v) for v in verts.split()))
+    return Model(tuple(sets), m)
 
 
 def test_exit_codes(tmp_path, capsys):

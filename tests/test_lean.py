@@ -115,3 +115,20 @@ def test_exact_builder_known_shapes():
     assert sorted(len(b) for b in td.bags.values()) == [4]
     td = build_k_atomic_exact(Graph.from_edges(2, []), 1)
     assert sorted(len(b) for b in td.bags.values()) == [1, 1]
+
+
+def test_cached_separations_match_per_step_enumeration():
+    """build_k_lean enumerates S_k once; the reference loop lets
+    check_k_lean enumerate it afresh on every step."""
+    for k in (2, 3, 4):
+        for g in small_corpus(17 + k, 25, 9):
+            steps = []
+            td = TreeDecomposition.single_bag(g.vertices)
+            while True:
+                viol = td.check_k_lean(g, k)
+                if viol is None:
+                    break
+                td = improvement_step(g, td, viol)
+                steps.append((viol, td))
+            assert list(lean_step_trace(g, k)) == steps
+            assert build_k_lean(g, k) == td

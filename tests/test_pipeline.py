@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from conftest import small_corpus
+
+from topstruct import pipeline
 from topstruct.decomposition import TreeDecomposition
 from topstruct.errors import (
     BichromaticComponent,
@@ -10,9 +13,16 @@ from topstruct.errors import (
     Indistinguishable,
     UncoloredComponent,
 )
-from topstruct.graph import Graph, complete_graph, path_graph, random_graph
+from topstruct.graph import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_graph,
+)
 from topstruct.lean import build_k_lean
 from topstruct.obstructions import (
+    DEFAULT_BUDGET,
     block_orientation,
     find_clique_model,
     find_k_blocks,
@@ -210,3 +220,41 @@ def test_run_structure_lemma_properties():
                 torso, _ = res.decomposition.torso_at_node(g, t)
                 assert not minor_oracle(torso, p.m)
     assert runs > 5
+
+
+def test_model_homes_match_unpruned_search():
+    """The prunes in _model_home_nodes skip only searches that fail."""
+    homes_seen = empty_seen = 0
+    for k, m in [(2, 4), (3, 6)]:
+        for g in small_corpus(29, 40, 10):
+            td = build_k_lean(g, k)
+            want = {
+                t
+                for t in sorted(td.nodes)
+                if find_clique_model(g, m, require_meet=td.bags[t]) is not None
+            }
+            got = pipeline._model_home_nodes(g, m, td, budget=DEFAULT_BUDGET)
+            assert set(got) == want
+            homes_seen += bool(want)
+            empty_seen += not want
+    assert homes_seen > 5 and empty_seen > 5
+
+
+def test_model_homes_skip_search_below_edge_count(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return find_clique_model(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "find_clique_model", counting)
+    g = cycle_graph(8)  # 8 vertices, but K_5 needs 10 edges
+    td = TreeDecomposition.single_bag(g.vertices)
+    assert pipeline._model_home_nodes(g, 5, td, budget=DEFAULT_BUDGET) == {}
+    assert calls == []
+    # K_5 has exactly as many edges as it needs, so the search runs
+    k5 = complete_graph(5)
+    td = TreeDecomposition.single_bag(k5.vertices)
+    homes = pipeline._model_home_nodes(k5, 5, td, budget=DEFAULT_BUDGET)
+    assert set(homes) == {1}
+    assert len(calls) == 1
