@@ -1,9 +1,12 @@
 """Compare the compiled bitset kernels against the pure-Python fallback.
 
 Runs each kernel on identical random workloads and prints per-call
-timings plus the speedup.  Usage: python benchmarks/bench_kernels.py
+timings plus the speedup.  When the compiled extension is importable,
+every case is first checked to give equal results on both.
+Usage: python benchmarks/bench_kernels.py [--seed N]
 """
 
+import argparse
 import random
 import time
 
@@ -23,11 +26,26 @@ def make_workload(n, p, cases, seed):
     full = g.vertex_mask
     work = []
     for _ in range(cases):
-        allowed = full & rng.getrandbits(n + 1) | 0
+        allowed = full & rng.getrandbits(n + 1)
         start = 1 << rng.randint(1, n)
         u, v = rng.sample(range(1, n + 1), 2)
         work.append((start, allowed, 1 << u, 1 << v))
     return adj, full, work
+
+
+def check_agreement(adj, n, full, work):
+    """Assert that pure and compiled kernels agree on every case."""
+    for start, allowed, src, dst in work:
+        for name, args in (
+            ("reachable", (adj, start, allowed | start)),
+            ("components", (adj, allowed)),
+            ("is_connected", (adj, allowed)),
+            ("max_disjoint_paths", (adj, n, src, dst, full & ~(src | dst))),
+        ):
+            want = getattr(pure, name)(*args)
+            got = getattr(_fast, name)(*args)
+            assert want == got, "%s%r: pure %r, compiled %r" % (
+                name, args[1:], want, got)
 
 
 def bench(impl, adj, n, full, work, repeat):
@@ -42,9 +60,19 @@ def bench(impl, adj, n, full, work, repeat):
 
 
 def main():
-    print(f"compiled extension available: {_fast is not None}")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="workload seed; 0 gives the original fixed workloads",
+    )
+    args = parser.parse_args()
+    print(f"compiled extension available: {_fast is not None}, seed {args.seed}")
     for n, p in [(12, 0.4), (24, 0.3), (48, 0.15), (63, 0.1)]:
-        adj, full, work = make_workload(n, p, cases=60, seed=n)
+        adj, full, work = make_workload(
+            n, p, cases=60, seed=1000 * args.seed + n
+        )
+        if _fast is not None:
+            check_agreement(adj, n, full, work)
         repeat = max(1, 600 // n)
         t_pure = bench(pure, adj, n, full, work, repeat)
         line = f"n={n:3d} p={p:.2f}  pure {t_pure * 1e6:9.2f} us/case"

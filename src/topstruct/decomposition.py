@@ -6,7 +6,9 @@ value and records provenance for the fresh node id.
 """
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     FormatError,
@@ -30,6 +32,23 @@ class LeannessViolation:
     t: int
     p: int
     witness: Separation
+
+
+def leanness_table(seps):
+    """Directed rows ``(order, A-mask, B-mask, separation)`` of S_k.
+
+    ``seps`` comes as ``enumerate_separations`` returns it: canonical,
+    ascending by ``Separation.sort_key``.  Each separation's row is
+    followed by its flip's, so the rows ascend by (order, sort_key) and
+    ``TreeDecomposition.check_k_lean`` can stop at its first match.
+    """
+    rows = []
+    for s in seps:
+        am, bm = mask_of(s.side_a), mask_of(s.side_b)
+        rows.append((s.order, am, bm, s))
+        if am != bm:
+            rows.append((s.order, bm, am, s.flip()))
+    return rows
 
 
 class TreeDecomposition:
@@ -261,45 +280,64 @@ class TreeDecomposition:
 
     # -- leanness ------------------------------------------------------
 
-    def check_k_lean(self, g, k, budget=2_000_000, *, seps=None):
+    def _path_minima(self):
+        """{s: {t: minimum edge order on the s-t tree path}}, one DFS per
+        node; a node's path to itself has no edge and minimum infinity."""
+        order = {e: self.edge_order(*e) for e in self.tree_edges}
+        out = {}
+        for s in self.nodes:
+            low = {s: float("inf")}
+            stack = [s]
+            while stack:
+                x = stack.pop()
+                for y in self._neighbors[x]:
+                    if y not in low:
+                        low[y] = min(low[x], order[(min(x, y), max(x, y))])
+                        stack.append(y)
+            if len(low) != len(self.nodes):
+                raise ValueError("nodes in different trees")
+            out[s] = low
+        return out
+
+    def check_k_lean(self, g, k, budget=2_000_000, *, table=None):
         """None iff k-lean; else the first violation in canonical order.
 
         Order: smallest p, then lexicographic (s, t), then the witness of
         minimum order with canonically smallest sides.  Requires
-        adhesion < k.  ``seps`` is S_k(g) as ``enumerate_separations``
-        returns it; a caller that checks many decompositions of one
-        graph passes it to enumerate S_k once.
+        adhesion < k.
+
+        ``table`` is ``leanness_table(enumerate_separations(g, k))``; a
+        caller that checks many decompositions of one graph builds it
+        once, and without it the check builds its own.  The table's rows
+        ascend by (order, sort_key), each separation just before its
+        flip, which shares its key.  So the rows of order < p form a
+        prefix, and for each (p, s, t) the first row with |A ∩ V_s| >= p
+        and |B ∩ V_t| >= p is the minimum witness.
         """
         if self.adhesion() >= k:
             raise ValueError("adhesion %d >= k=%d" % (self.adhesion(), k))
-        if seps is None:
-            seps = enumerate_separations(g, k, budget=budget)
+        if table is None:
+            table = leanness_table(enumerate_separations(g, k, budget=budget))
         bag_masks = {node: mask_of(bag) for node, bag in self.bags.items()}
         ordered_nodes = sorted(self.nodes)
-        # Ordered sides: both directions of every enumerated separation.
-        directed = []
-        for s in seps:
-            am, bm = mask_of(s.side_a), mask_of(s.side_b)
-            directed.append((s.order, am, bm, s))
-            if s.side_a != s.side_b:
-                directed.append((s.order, bm, am, s.flip()))
+        path_min = self._path_minima()
         for p in range(1, k + 1):
+            rows = table[: bisect_left(table, p, key=itemgetter(0))]
             for s_node in ordered_nodes:
+                vs = bag_masks[s_node]
+                from_s = [
+                    (bm, sep) for _, am, bm, sep in rows if popcount(am & vs) >= p
+                ]
+                if not from_s:
+                    continue
+                reach = path_min[s_node]
                 for t_node in ordered_nodes:
-                    if s_node != t_node:
-                        if self.min_order_on_path(s_node, t_node) < p:
-                            continue
-                    best = None
-                    vs, vt = bag_masks[s_node], bag_masks[t_node]
-                    for order, am, bm, sep in directed:
-                        if order >= p:
-                            continue
-                        if popcount(am & vs) >= p and popcount(bm & vt) >= p:
-                            key = (order,) + sep.sort_key()
-                            if best is None or key < best[0]:
-                                best = (key, sep)
-                    if best is not None:
-                        return LeannessViolation(s_node, t_node, p, best[1])
+                    if reach[t_node] < p:
+                        continue
+                    vt = bag_masks[t_node]
+                    for bm, sep in from_s:
+                        if popcount(bm & vt) >= p:
+                            return LeannessViolation(s_node, t_node, p, sep)
         return None
 
     # -- home nodes ----------------------------------------------------
@@ -326,38 +364,6 @@ class TreeDecomposition:
         if len(sinks) != 1:
             raise InconsistentOrientation("no unique sink: %r" % (sorted(sinks),))
         return sinks[0]
-
-
-def validate_decomposition(g, td):
-    return td.validate(g)
-
-
-def induced_separation(td, s, t):
-    return td.induced_separation(s, t)
-
-
-def adhesion(td):
-    return td.adhesion()
-
-
-def torso_at_subtree(g, td, node_set):
-    return td.torso_at_subtree(g, node_set)
-
-
-def contract_edge(td, s, t):
-    return td.contract_tree_edge(s, t)
-
-
-def fatness_of(td, n):
-    return td.fatness(n)
-
-
-def check_k_lean(g, td, k, budget=2_000_000):
-    return td.check_k_lean(g, k, budget=budget)
-
-
-def home_node(td, orientation):
-    return td.home_node(orientation)
 
 
 # -- .td text format ---------------------------------------------------

@@ -36,7 +36,7 @@ def bits(mask):
 
 
 def popcount(mask):
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,6 @@ class Graph:
             if a2 != b2:
                 edges.add((min(index[a2], index[b2]), max(index[a2], index[b2])))
         return Graph(self.n - 1, frozenset(edges))
-
-
-def overlay_clique(g, z):
-    return g.overlay_clique(z)
 
 
 # -- .gr parsing / writing (PACE-style) --------------------------------

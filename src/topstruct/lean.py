@@ -8,10 +8,10 @@ it finds a decomposition of genuinely minimum fatness among all
 decompositions of adhesion < k by exhaustive dynamic programming.
 """
 
-from .decomposition import TreeDecomposition
+from .decomposition import TreeDecomposition, leanness_table
 from .errors import BudgetExceeded, InvariantViolation, NotAViolation
 from .flows import disjoint_path_system
-from .graph import bits, mask_of, set_of
+from .graph import bits, mask_of, popcount, set_of
 from .separations import enumerate_separations, is_separation
 
 
@@ -150,26 +150,40 @@ def _prune(td):
     return TreeDecomposition(nodes, edges, bags)
 
 
-def build_k_lean(g, k, budget=None):
-    """A k-lean tree-decomposition of g, by iterated improvement."""
+def build_k_lean(g, k, budget=None, *, seps=None):
+    """A k-lean tree-decomposition of g, by iterated improvement.
+
+    ``seps`` is S_k(g) as ``enumerate_separations(g, k)`` returns it, for
+    a caller that needs it elsewhere too; omitted, it is enumerated here.
+    """
     td = TreeDecomposition.single_bag(g.vertices)
-    for _, td in lean_step_trace(g, k, budget):
+    for _, td in lean_step_trace(g, k, budget, seps=seps):
         pass
     return td
 
 
-def lean_step_trace(g, k, budget=None):
+def lean_step_trace(g, k, budget=None, *, seps=None):
     """The steps of build_k_lean: yields (violation, td) after each
-    exchange.  S_k(g) is enumerated once, since g never changes."""
+    exchange.
+
+    g never changes, so S_k(g) is enumerated once (unless the caller
+    passes it as ``seps``) and turned once into the directed table that
+    every ``check_k_lean`` step scans: both directions of each
+    separation, ascending by (order, sort_key), each separation just
+    before its flip.  In that order a step's first matching row is its
+    minimum witness.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if budget is None:
         budget = 10 * g.n * g.n + 10
-    seps = enumerate_separations(g, k)
+    if seps is None:
+        seps = enumerate_separations(g, k)
+    table = leanness_table(seps)
     td = TreeDecomposition.single_bag(g.vertices)
     steps = 0
     while True:
-        viol = td.check_k_lean(g, k, seps=seps)
+        viol = td.check_k_lean(g, k, table=table)
         if viol is None:
             return
         steps += 1
@@ -246,7 +260,7 @@ def build_k_atomic_exact(g, k, budget=5_000_000):
             for v in bits(comp):
                 boundary |= g.adj[v]
             boundary &= wmask
-            if bin(boundary).count("1") >= k:
+            if popcount(boundary) >= k:
                 return None
             child_set = comp | boundary
             if child_set == smask:

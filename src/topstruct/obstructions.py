@@ -407,9 +407,14 @@ def model_orientation(g, k, x):
     return ModelOrientation(g, k, x)
 
 
-def orientations_agree(g, k, o1, o2, budget=2_000_000):
-    """True iff o1 and o2 direct every order-< k separation the same way."""
-    for s in enumerate_separations(g, k, budget=budget):
+def orientations_agree(g, k, o1, o2, budget=2_000_000, *, seps=None):
+    """True iff o1 and o2 direct every order-< k separation the same way.
+
+    ``seps`` is S_k(g) from a caller that already enumerated it.
+    """
+    if seps is None:
+        seps = enumerate_separations(g, k, budget=budget)
+    for s in seps:
         if o1.w_side(s) != o2.w_side(s):
             return False
     return True
@@ -442,7 +447,7 @@ def check_rs_lemma(g, z, x, budget=2_000_000):
 # -- subdivision extraction --------------------------------------------
 
 
-def extract_subdivision(g, k, m, b, x, b0, budget=DEFAULT_BUDGET):
+def extract_subdivision(g, k, m, b, x, b0, budget=DEFAULT_BUDGET, *, seps=None):
     """K_r subdivision with branch vertices exactly b0, from a block and
     a clique model inducing the same orientation.
 
@@ -464,7 +469,7 @@ def extract_subdivision(g, k, m, b, x, b0, budget=DEFAULT_BUDGET):
         )
     o_b = BlockOrientation(g, k, b)
     o_x = ModelOrientation(g, k, x)
-    if not orientations_agree(g, k, o_b, o_x, budget=budget):
+    if not orientations_agree(g, k, o_b, o_x, budget=budget, seps=seps):
         raise OrientationMismatch("block and model orient S_k differently")
 
     h, copies = _copy_graph(g, b0, r - 1)

@@ -270,7 +270,8 @@ def run_structure(g, params, budget=DEFAULT_BUDGET, default_blue=True):
         params.k, params.m, params.r,
         " (generalized)" if params.generalized else "",
     ))
-    td = build_k_lean(g, params.k)
+    seps = enumerate_separations(g, params.k)
+    td = build_k_lean(g, params.k, seps=seps)
     report.append(
         "lean decomposition: %d nodes, adhesion %d, largest bag %d"
         % (
@@ -297,7 +298,7 @@ def run_structure(g, params, budget=DEFAULT_BUDGET, default_blue=True):
         model = model_homes[t]
         b0 = tuple(sorted(block.vertices)[: params.r])
         emb = extract_subdivision(
-            g, params.k, params.m, block, model, b0, budget=budget
+            g, params.k, params.m, block, model, b0, budget=budget, seps=seps
         )
         report.append(
             "subdivision exit at node %d, branch vertices %s"

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import small_corpus
 
-from topstruct.decomposition import TreeDecomposition
+from topstruct.decomposition import LeannessViolation, TreeDecomposition
 from topstruct.errors import BudgetExceeded, NotAViolation
 from topstruct.graph import (
     Graph,
@@ -21,6 +21,7 @@ from topstruct.lean import (
     improvement_step,
     lean_step_trace,
 )
+from topstruct.separations import enumerate_separations
 
 
 def test_build_on_named_graphs():
@@ -54,7 +55,6 @@ def test_trace_shows_strict_fatness_descent():
 
 
 def test_improvement_step_rejects_non_violation():
-    from topstruct.decomposition import LeannessViolation
     from topstruct.separations import Separation
 
     g = path_graph(3)
@@ -132,3 +132,58 @@ def test_cached_separations_match_per_step_enumeration():
                 steps.append((viol, td))
             assert list(lean_step_trace(g, k)) == steps
             assert build_k_lean(g, k) == td
+
+
+def _reference_violation(g, td, k):
+    """The leanness check read off its definition: for every (p, s, t)
+    whose tree path has no edge of order < p, scan both directions of
+    every separation of order < p and keep the least (order, sort_key)
+    witness; the first (p, s, t) with a witness wins."""
+    directed = []
+    for sep in enumerate_separations(g, k):
+        directed.append(sep)
+        if sep.side_a != sep.side_b:
+            directed.append(sep.flip())
+    nodes = sorted(td.nodes)
+    for p in range(1, k + 1):
+        for s in nodes:
+            for t in nodes:
+                if s != t and td.min_order_on_path(s, t) < p:
+                    continue
+                best = None
+                for sep in directed:
+                    if (
+                        sep.order < p
+                        and len(sep.side_a & td.bags[s]) >= p
+                        and len(sep.side_b & td.bags[t]) >= p
+                    ):
+                        key = (sep.order,) + sep.sort_key()
+                        if best is None or key < best[0]:
+                            best = (key, sep)
+                if best is not None:
+                    return LeannessViolation(s, t, p, best[1])
+    return None
+
+
+def test_check_k_lean_matches_definition():
+    """The indexed first-match scan returns exactly the violation of the
+    definition on every decomposition the lean builder visits, on exact
+    decompositions of smaller adhesion, and on the lean result with one
+    tree edge contracted: only these last give witnesses whose s and t
+    differ, which is where the path minima and flipped sides come in."""
+    violations = across_nodes = flipped = 0
+    for k in (2, 3, 4):
+        for g in small_corpus(40 + k, 25, 9):
+            tds = [TreeDecomposition.single_bag(g.vertices)]
+            tds += [td for _, td in lean_step_trace(g, k)]
+            lean = tds[-1]
+            tds += [lean.contract_tree_edge(*e) for e in sorted(lean.tree_edges)]
+            tds += [build_k_atomic_exact(g, low) for low in range(1, k)]
+            for td in tds:
+                want = _reference_violation(g, td, k)
+                assert td.check_k_lean(g, k) == want
+                if want is not None:
+                    violations += 1
+                    across_nodes += want.s != want.t
+                    flipped += want.witness.canonical() != want.witness
+    assert violations > 100 and across_nodes > 10 and flipped > 3

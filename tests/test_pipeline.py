@@ -195,6 +195,33 @@ def test_run_structure_two_k5s():
     assert verify_theorem(g, p6, res6).passed
 
 
+def test_run_structure_enumerates_s_k_once(monkeypatch):
+    """The lean builder and the subdivision exit share one S_k(G)."""
+    from topstruct import decomposition, lean, obstructions
+    from topstruct.separations import enumerate_separations
+
+    calls = []
+
+    def counting(g, k, *args, **kwargs):
+        calls.append(k)
+        return enumerate_separations(g, k, *args, **kwargs)
+
+    for module in (pipeline, lean, decomposition, obstructions):
+        monkeypatch.setattr(module, "enumerate_separations", counting)
+    two_k5s = Graph.from_edges(
+        8,
+        list(itertools.combinations([1, 2, 3, 4, 5], 2))
+        + list(itertools.combinations([4, 5, 6, 7, 8], 2)),
+    )
+    for g, p in [
+        (complete_graph(6), Parameters.generalized_km(3, 6)),
+        (two_k5s, Parameters.generalized_km(3, 5)),
+    ]:
+        calls.clear()
+        assert run_structure(g, p).variant == "subdivision"
+        assert calls == [p.k]
+
+
 def test_run_structure_lemma_properties():
     """Coloring totality, join lemma on F edges, blue torsos minor-free."""
     from topstruct.verifier import minor_oracle

@@ -87,6 +87,29 @@ def test_enumerate_separations_definition():
     )
 
 
+def _brute_separations(g, k):
+    """Canonical (A, B) pairs of every separation of order < k, by
+    trying every side A and every overlap."""
+    n = g.n
+    verts = sorted(g.vertices)
+    expected = set()
+    for bits_a in range(1 << n):
+        a = frozenset(verts[i] for i in range(n) if (bits_a >> i) & 1)
+        b = frozenset(set(verts) - a)
+        # side_b = complement ∪ (any subset of a) covers all overlaps
+        for sub in range(1 << len(a)):
+            al = sorted(a)
+            overlap = frozenset(
+                al[i] for i in range(len(al)) if (sub >> i) & 1
+            )
+            bb = b | overlap
+            s = Separation(a, bb)
+            if s.order < k and is_separation(g, a, bb):
+                c = s.canonical()
+                expected.add((c.side_a, c.side_b))
+    return expected
+
+
 def test_enumerate_separations_complete_against_brute_force():
     rng = random.Random(23)
     for _ in range(25):
@@ -97,23 +120,22 @@ def test_enumerate_separations_complete_against_brute_force():
             (s.side_a, s.side_b)
             for s in enumerate_separations(g, k)
         }
-        verts = sorted(g.vertices)
-        expected = set()
-        for bits_a in range(1 << n):
-            a = frozenset(verts[i] for i in range(n) if (bits_a >> i) & 1)
-            b = frozenset(set(verts) - a)
-            # side_b = complement ∪ (any subset of a) covers all overlaps
-            for sub in range(1 << len(a)):
-                al = sorted(a)
-                overlap = frozenset(
-                    al[i] for i in range(len(al)) if (sub >> i) & 1
-                )
-                bb = b | overlap
-                s = Separation(a, bb)
-                if s.order < k and is_separation(g, a, bb):
-                    c = s.canonical()
-                    expected.add((c.side_a, c.side_b))
-        assert got == expected
+        assert got == _brute_separations(g, k)
+
+
+def test_enumeration_contract():
+    """What the leanness table relies on: canonical elements, each once,
+    in sort_key order; and, as a set, exactly S_k."""
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(0, 7)
+        g = random_graph(n, rng.choice([0.15, 0.3, 0.6]), rng)
+        k = rng.randint(1, 4)
+        seps = enumerate_separations(g, k)
+        assert all(s.canonical() == s for s in seps)
+        assert len(set(seps)) == len(seps)
+        assert seps == sorted(seps, key=Separation.sort_key)
+        assert {(s.side_a, s.side_b) for s in seps} == _brute_separations(g, k)
 
 
 def test_is_tight():
