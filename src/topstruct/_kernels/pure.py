@@ -67,7 +67,7 @@ def max_disjoint_paths(adj, n, src, dst, allowed):
         # Trivial one-vertex paths; route the rest around them.
         shared = src & dst
         rest = allowed & ~shared
-        return bin(shared).count("1") + max_disjoint_paths(
+        return shared.bit_count() + max_disjoint_paths(
             adj, n, src & rest, dst & rest, rest
         )
     size = 2 * n + 2

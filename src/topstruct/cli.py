@@ -1,14 +1,14 @@
 """Command-line driver: decompose, verify, find.
 
 Exit codes: 0 pass, 1 violation, 2 budget exhausted, 64 usage or
-parse errors.
+parse errors, 70 internal error (any other ``TopstructError``).
 """
 
 import argparse
 import sys
 
 from .decomposition import load_td, renumbered, write_td
-from .errors import BudgetExceeded, FormatError
+from .errors import BudgetExceeded, FormatError, TopstructError
 from .graph import load_gr
 from .obstructions import (
     find_clique_model,
@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 
 def _params_from_args(args):
@@ -230,6 +231,12 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
+    except TopstructError as exc:
+        print(
+            "internal error: %s: %s" % (type(exc).__name__, exc),
+            file=sys.stderr,
+        )
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -35,19 +35,21 @@ class LeannessViolation:
 
 
 def leanness_table(seps):
-    """Directed rows ``(order, A-mask, B-mask, separation)`` of S_k.
+    """Directed rows ``(order, A-mask, B-mask, separation, flipped)`` of S_k.
 
     ``seps`` comes as ``enumerate_separations`` returns it: canonical,
     ascending by ``Separation.sort_key``.  Each separation's row is
     followed by its flip's, so the rows ascend by (order, sort_key) and
-    ``TreeDecomposition.check_k_lean`` can stop at its first match.
+    ``TreeDecomposition.check_k_lean`` can stop at its first match.  A
+    flip's row holds the canonical separation with ``flipped`` set; only
+    the row a check returns is turned into ``separation.flip()``.
     """
     rows = []
     for s in seps:
         am, bm = mask_of(s.side_a), mask_of(s.side_b)
-        rows.append((s.order, am, bm, s))
+        rows.append((s.order, am, bm, s, False))
         if am != bm:
-            rows.append((s.order, bm, am, s.flip()))
+            rows.append((s.order, bm, am, s, True))
     return rows
 
 
@@ -326,7 +328,9 @@ class TreeDecomposition:
             for s_node in ordered_nodes:
                 vs = bag_masks[s_node]
                 from_s = [
-                    (bm, sep) for _, am, bm, sep in rows if popcount(am & vs) >= p
+                    (bm, sep, flipped)
+                    for _, am, bm, sep, flipped in rows
+                    if popcount(am & vs) >= p
                 ]
                 if not from_s:
                     continue
@@ -335,8 +339,10 @@ class TreeDecomposition:
                     if reach[t_node] < p:
                         continue
                     vt = bag_masks[t_node]
-                    for bm, sep in from_s:
+                    for bm, sep, flipped in from_s:
                         if popcount(bm & vt) >= p:
+                            if flipped:
+                                sep = sep.flip()
                             return LeannessViolation(s_node, t_node, p, sep)
         return None
 

@@ -208,8 +208,33 @@ def minor_oracle(g, m, budget=ORACLE_BUDGET):
 
     A minor model, contracted branch set by branch set, leaves a K_m
     subgraph, so g has the minor iff some contraction sequence produces
-    an m-clique; the recursion tries every edge, memoized on canonical
-    forms.
+    an m-clique.  The recursion contracts edges of the reduced graph,
+    memoized on canonical forms, and prunes by edge surplus:
+
+    (a) After ``_reduce_for_minor`` every vertex has degree >= 3.  Take
+    a model with union U: its branch sets are connected, so they span
+    |U| - m tree edges, and it needs m(m-1)/2 more edges between sets.
+    Every vertex outside U has degree >= 2, so at least |V - U| further
+    edges touch V - U.  Hence a K_m minor needs
+    |E| >= |V| - m + m(m-1)/2; ``surplus`` is the slack in this bound.
+
+    (b) Contracting uv removes one vertex and 1 + |N(u) & N(v)| edges,
+    so it lowers |E| - |V| by |N(u) & N(v)|.  The child's reduction
+    cannot raise |E| - |V| again: every component of the reduced g has
+    minimum degree >= 3, so after one contraction each component still
+    has a cycle (if g - u - v is a forest, each of its leaves is
+    adjacent to both u and v, and two leaves of one tree close a cycle
+    through the merged vertex; an isolated vertex of g - u - v would
+    have degree <= 2 in g).  A component of cycle rank c adds c - 1 to
+    |E| - |V|.  The reduction's contractions keep each component
+    connected and never raise c; deleting an isolated vertex raises
+    |E| - |V| by one, but only ends a component whose c has fallen from
+    at least 1 to 0, so that component's share ends at 0, no more than
+    it started with.  So an edge whose ends share more than ``surplus``
+    neighbours leads only to children that fail (a); such edges are
+    never contracted, and a graph with no other edge is refuted before
+    it is keyed or memoized.  The work counter counts ``solve`` calls,
+    so these pruned children cost no budget.
     """
     if m <= 0:
         return True
@@ -228,16 +253,25 @@ def minor_oracle(g, m, budget=ORACLE_BUDGET):
         if work[0] > budget:
             raise BudgetExceeded("minor oracle budget", spent=work[0])
         g = _reduce_for_minor(g, m)
-        if len(g.vertices) < m or len(g.edges) < need_edges:
+        surplus = len(g.edges) - (len(g.vertices) - m) - need_edges
+        if len(g.vertices) < m or surplus < 0:
             return False
         if _has_clique(g, m):
             return True
+        adj = g.adj
+        edges = [
+            (u, v)
+            for u, v in g.sorted_edges()
+            if (adj[u] & adj[v]).bit_count() <= surplus
+        ]
+        if not edges:
+            return False
         key = canonical_key(g)
         if key in memo:
             return memo[key]
         memo[key] = False  # cycle-safe placeholder; contractions shrink
         ans = False
-        for u, v in g.sorted_edges():
+        for u, v in edges:
             if solve(g.contract_edge(u, v)):
                 ans = True
                 break

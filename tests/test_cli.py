@@ -4,8 +4,10 @@ import pytest
 
 from conftest import is_valid_model
 
+from topstruct import cli
 from topstruct.cli import main
 from topstruct.decomposition import load_td, renumbered
+from topstruct.errors import InvariantViolation
 from topstruct.graph import (
     complete_graph,
     grid_graph,
@@ -142,3 +144,15 @@ def test_exit_codes(tmp_path, capsys):
     # n mismatch between files -> 64
     other = _write(tmp_path, "p5.gr", path_graph(5))
     assert main(["verify", other, td_path, "--k", "2", "--m", "4"]) == 64
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    # an internal error is neither a violation (1) nor a usage error (64)
+    def broken(*args, **kwargs):
+        raise InvariantViolation("home node vanished")
+
+    monkeypatch.setattr(cli, "run_structure", broken)
+    gr = _write(tmp_path, "p4.gr", path_graph(4))
+    assert main(["decompose", "--k", "2", "--m", "4", gr]) == 70
+    err = capsys.readouterr().err
+    assert "InvariantViolation: home node vanished" in err

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import is_valid_model
 
+from topstruct import verifier
 from topstruct.decomposition import TreeDecomposition
 from topstruct.errors import BudgetExceeded
 from topstruct.graph import (
@@ -18,6 +19,8 @@ from topstruct.graph import (
 from topstruct.obstructions import find_clique_model, find_subdivision
 from topstruct.pipeline import Coloring, Parameters, StructureResult, run_structure
 from topstruct.verifier import (
+    _has_clique,
+    _reduce_for_minor,
     canonical_key,
     minor_oracle,
     model_from_subdivision,
@@ -89,6 +92,82 @@ def test_minor_agrees_with_model_search():
         g = random_graph(n, rng.choice([0.25, 0.5, 0.75]), rng)
         m = rng.randint(1, 5)
         assert (find_clique_model(g, m) is not None) == minor_oracle(g, m)
+
+
+def _unpruned_minor_oracle(g, m):
+    """The minor oracle's recursion without its surplus prunes (m >= 4):
+    it contracts every edge of every reduced graph that has m vertices
+    and m(m-1)/2 edges."""
+    memo = {}
+    need_edges = m * (m - 1) // 2
+
+    def solve(g):
+        g = _reduce_for_minor(g, m)
+        if len(g.vertices) < m or len(g.edges) < need_edges:
+            return False
+        if _has_clique(g, m):
+            return True
+        key = canonical_key(g)
+        if key in memo:
+            return memo[key]
+        memo[key] = False
+        ans = any(solve(g.contract_edge(u, v)) for u, v in g.sorted_edges())
+        memo[key] = ans
+        return ans
+
+    return solve(g)
+
+
+def _planar_3_tree(n, rng):
+    """Random planar 3-tree: stack each new vertex into a random face of
+    a triangulation grown from a triangle, then shuffle the labels."""
+    edges = {(1, 2), (1, 3), (2, 3)}
+    faces = [(1, 2, 3), (1, 2, 3)]
+    for v in range(4, n + 1):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges |= {(a, v), (b, v), (c, v)}
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+
+
+def _gnm(n, edge_count, rng):
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    return Graph.from_edges(n, rng.sample(pairs, edge_count))
+
+
+def test_minor_oracle_matches_unpruned_reference():
+    rng = random.Random(97)
+    graphs = [_planar_3_tree(n, rng) for n in range(8, 13)]
+    for _ in range(30):
+        n = rng.randint(4, 10)
+        graphs.append(_gnm(n, rng.randint(n, n * (n - 1) // 2), rng))
+    graphs += [petersen_graph(), grid_graph(3, 4), complete_graph(6)]
+    answers = set()
+    for g in graphs:
+        for m in range(4, 8):
+            ans = minor_oracle(g, m)
+            assert ans == _unpruned_minor_oracle(g, m), (sorted(g.edges), m)
+            answers.add(ans)
+    assert answers == {True, False}
+
+
+def test_minor_oracle_keys_planar_3_tree_once(monkeypatch):
+    # 3n - 6 = 27 edges on 11 vertices leave a surplus of 2 for K_7.
+    # Every edge of a triangulation has at least two common neighbours,
+    # so every child keeps a surplus of at most 0 and is refuted before
+    # it is keyed: only the root is.
+    calls = []
+
+    def counting_key(g, *args, **kwargs):
+        calls.append(g)
+        return canonical_key(g, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "canonical_key", counting_key)
+    g = _planar_3_tree(11, random.Random(101))
+    assert not minor_oracle(g, 7)
+    assert len(calls) <= 1
 
 
 def test_canonical_key_isomorphism_invariant():
