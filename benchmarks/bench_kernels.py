@@ -1,8 +1,6 @@
-"""Compare the compiled bitset kernels against the pure-Python fallback.
+"""Time the bitset kernels on random workloads.
 
-Runs each kernel on identical random workloads and prints per-call
-timings plus the speedup.  When the compiled extension is importable,
-every case is first checked to give equal results on both.
+Runs each kernel on the same random cases and prints the time per case.
 Usage: python benchmarks/bench_kernels.py [--seed N]
 """
 
@@ -10,13 +8,8 @@ import argparse
 import random
 import time
 
+from topstruct import _kernels
 from topstruct.graph import random_graph
-from topstruct._kernels import pure
-
-try:
-    from topstruct._kernels import _fast
-except ImportError:
-    _fast = None
 
 
 def make_workload(n, p, cases, seed):
@@ -33,29 +26,14 @@ def make_workload(n, p, cases, seed):
     return adj, full, work
 
 
-def check_agreement(adj, n, full, work):
-    """Assert that pure and compiled kernels agree on every case."""
-    for start, allowed, src, dst in work:
-        for name, args in (
-            ("reachable", (adj, start, allowed | start)),
-            ("components", (adj, allowed)),
-            ("is_connected", (adj, allowed)),
-            ("max_disjoint_paths", (adj, n, src, dst, full & ~(src | dst))),
-        ):
-            want = getattr(pure, name)(*args)
-            got = getattr(_fast, name)(*args)
-            assert want == got, "%s%r: pure %r, compiled %r" % (
-                name, args[1:], want, got)
-
-
-def bench(impl, adj, n, full, work, repeat):
+def bench(adj, n, full, work, repeat):
     t0 = time.perf_counter()
     for _ in range(repeat):
         for start, allowed, src, dst in work:
-            impl.reachable(adj, start, allowed | start)
-            impl.components(adj, allowed)
-            impl.is_connected(adj, allowed)
-            impl.max_disjoint_paths(adj, n, src, dst, full & ~(src | dst))
+            _kernels.reachable(adj, start, allowed | start)
+            _kernels.components(adj, allowed)
+            _kernels.is_connected(adj, allowed)
+            _kernels.max_disjoint_paths(adj, n, src, dst, full & ~(src | dst))
     return (time.perf_counter() - t0) / (repeat * len(work))
 
 
@@ -66,23 +44,14 @@ def main():
         help="workload seed; 0 gives the original fixed workloads",
     )
     args = parser.parse_args()
-    print(f"compiled extension available: {_fast is not None}, seed {args.seed}")
+    print(f"seed {args.seed}")
     for n, p in [(12, 0.4), (24, 0.3), (48, 0.15), (63, 0.1)]:
         adj, full, work = make_workload(
             n, p, cases=60, seed=1000 * args.seed + n
         )
-        if _fast is not None:
-            check_agreement(adj, n, full, work)
         repeat = max(1, 600 // n)
-        t_pure = bench(pure, adj, n, full, work, repeat)
-        line = f"n={n:3d} p={p:.2f}  pure {t_pure * 1e6:9.2f} us/case"
-        if _fast is not None:
-            t_fast = bench(_fast, adj, n, full, work, repeat)
-            line += (
-                f"  compiled {t_fast * 1e6:9.2f} us/case"
-                f"  speedup {t_pure / t_fast:5.1f}x"
-            )
-        print(line)
+        t = bench(adj, n, full, work, repeat)
+        print(f"n={n:3d} p={p:.2f}  {t * 1e6:9.2f} us/case")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
-"""Pure-Python bitset kernels.
+"""Bitset kernels: reachability, components and Menger counts.
 
 Vertices are 1..n; a vertex set is an int with bit v set for vertex v.
 ``adj`` is a sequence indexed by vertex label (index 0 unused) whose
 entries are neighborhood masks.  These functions sit in the innermost
-loops of every search in the package; the compiled twin in ``_fast.pyx``
-implements exactly the same contracts.
+loops of every search in the package.
+
+The kernels never call one another through the four public names:
+perfbench/tracer.py counts calls by wrapping those names, and must see
+only the calls from outside this module.
 """
 
+# The benchmark's run line prints this (perfbench/run.py).
 BACKEND = "pure"
 
 
@@ -17,9 +21,8 @@ def _bits(mask):
         mask ^= low
 
 
-def reachable(adj, start, allowed):
-    """Closure of ``start & allowed`` under adjacency within ``allowed``."""
-    seen = start & allowed
+def _closure(adj, seen, allowed):
+    """Closure of ``seen``, a subset of ``allowed``, within ``allowed``."""
     frontier = seen
     while frontier:
         nxt = 0
@@ -30,13 +33,17 @@ def reachable(adj, start, allowed):
     return seen
 
 
+def reachable(adj, start, allowed):
+    """Closure of ``start & allowed`` under adjacency within ``allowed``."""
+    return _closure(adj, start & allowed, allowed)
+
+
 def components(adj, mask):
     """Connected components of the induced subgraph on ``mask``."""
     out = []
     rest = mask
     while rest:
-        seed = rest & -rest
-        comp = reachable(adj, seed, mask)
+        comp = _closure(adj, rest & -rest, mask)
         out.append(comp)
         rest &= ~comp
     return out
@@ -46,8 +53,7 @@ def is_connected(adj, mask):
     """True for the empty set and for connected induced subgraphs."""
     if mask == 0:
         return True
-    seed = mask & -mask
-    return reachable(adj, seed, mask) == mask
+    return _closure(adj, mask & -mask, mask) == mask
 
 
 def max_disjoint_paths(adj, n, src, dst, allowed):
@@ -61,15 +67,11 @@ def max_disjoint_paths(adj, n, src, dst, allowed):
     source, node 1 the sink.  Plain BFS augmentation: the flow value is
     at most n, so Ford-Fulkerson is exact and cheap at this scale.
     """
+    # Trivial one-vertex paths; route the rest around them.
+    shared = src & dst & allowed
+    allowed &= ~shared
     src &= allowed
     dst &= allowed
-    if src & dst:
-        # Trivial one-vertex paths; route the rest around them.
-        shared = src & dst
-        rest = allowed & ~shared
-        return shared.bit_count() + max_disjoint_paths(
-            adj, n, src & rest, dst & rest, rest
-        )
     size = 2 * n + 2
     cap = [[0] * size for _ in range(size)]
     inf = n + 1
@@ -81,7 +83,7 @@ def max_disjoint_paths(adj, n, src, dst, allowed):
         cap[0][2 * v] = 1
     for v in _bits(dst):
         cap[2 * v + 1][1] = 1
-    flow = 0
+    flow = shared.bit_count()
     while True:
         prev = [-1] * size
         prev[0] = 0

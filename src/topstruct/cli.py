@@ -1,16 +1,18 @@
 """Command-line driver: decompose, verify, find.
 
 Exit codes: 0 pass, 1 violation, 2 budget exhausted, 64 usage or
-parse errors, 70 internal error (any other ``TopstructError``).
+parse errors, 70 internal error (any other exception).
 """
 
 import argparse
+import functools
 import sys
 
 from .decomposition import load_td, renumbered, write_td
-from .errors import BudgetExceeded, FormatError, TopstructError
+from .errors import BudgetExceeded, FormatError
 from .graph import load_gr
 from .obstructions import (
+    DEFAULT_BUDGET,
     find_clique_model,
     find_k_blocks,
     find_subdivision,
@@ -20,8 +22,6 @@ from .obstructions import (
 )
 from .pipeline import Coloring, Parameters, StructureResult, run_structure
 from .verifier import verify_theorem
-
-DEFAULT_BUDGET = 10_000_000
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -174,13 +174,11 @@ def _add_param_flags(sub):
         "--budget", type=int, default=DEFAULT_BUDGET,
         help="node-expansion budget for searches",
     )
-    sub.add_argument(
-        "--seed", type=int, default=0,
-        help="corpus-generation seed; never affects search order",
-    )
 
 
+@functools.cache
 def build_parser():
+    """The ``topstruct`` parser, built once: building costs ten parses."""
     parser = argparse.ArgumentParser(
         prog="topstruct",
         description="Tree-decompositions vs. clique subdivisions",
@@ -231,7 +229,7 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except TopstructError as exc:
+    except Exception as exc:  # a bug: neither a violation nor bad input
         print(
             "internal error: %s: %s" % (type(exc).__name__, exc),
             file=sys.stderr,

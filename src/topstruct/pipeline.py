@@ -270,7 +270,7 @@ def run_structure(g, params, budget=DEFAULT_BUDGET, default_blue=True):
         params.k, params.m, params.r,
         " (generalized)" if params.generalized else "",
     ))
-    seps = enumerate_separations(g, params.k)
+    seps = enumerate_separations(g, params.k, budget=budget)
     td = build_k_lean(g, params.k, seps=seps)
     report.append(
         "lean decomposition: %d nodes, adhesion %d, largest bag %d"

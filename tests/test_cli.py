@@ -155,4 +155,16 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     gr = _write(tmp_path, "p4.gr", path_graph(4))
     assert main(["decompose", "--k", "2", "--m", "4", gr]) == 70
     err = capsys.readouterr().err
-    assert "InvariantViolation: home node vanished" in err
+    assert "internal error: InvariantViolation: home node vanished" in err
+
+
+def test_unexpected_exception_exit_code(tmp_path, capsys, monkeypatch):
+    # any uncaught exception inside a command is an internal error too
+    def broken(*args, **kwargs):
+        raise KeyError(7)
+
+    monkeypatch.setattr(cli, "run_structure", broken)
+    gr = _write(tmp_path, "p4.gr", path_graph(4))
+    assert main(["decompose", "--k", "2", "--m", "4", gr]) == 70
+    err = capsys.readouterr().err
+    assert "internal error: KeyError: 7" in err

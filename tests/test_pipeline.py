@@ -9,6 +9,7 @@ from topstruct import pipeline
 from topstruct.decomposition import TreeDecomposition
 from topstruct.errors import (
     BichromaticComponent,
+    BudgetExceeded,
     CoverageImpossible,
     Indistinguishable,
     UncoloredComponent,
@@ -18,6 +19,7 @@ from topstruct.graph import (
     complete_graph,
     cycle_graph,
     path_graph,
+    petersen_graph,
     random_graph,
 )
 from topstruct.lean import build_k_lean
@@ -220,6 +222,14 @@ def test_run_structure_enumerates_s_k_once(monkeypatch):
         calls.clear()
         assert run_structure(g, p).variant == "subdivision"
         assert calls == [p.k]
+
+
+def test_run_structure_budget_bounds_separation_enumeration():
+    # S_k(G) is the run's first stage, so it must spend the run's budget
+    with pytest.raises(BudgetExceeded, match="separation enumeration"):
+        run_structure(
+            petersen_graph(), Parameters.generalized_km(3, 6), budget=1
+        )
 
 
 def test_run_structure_lemma_properties():
