@@ -16,7 +16,7 @@ from .errors import (
     NotAnEdge,
     NotASubtree,
 )
-from .graph import Graph, mask_of, popcount
+from .graph import Graph, mask_of
 from .separations import Separation, enumerate_separations
 
 
@@ -330,7 +330,7 @@ class TreeDecomposition:
                 from_s = [
                     (bm, sep, flipped)
                     for _, am, bm, sep, flipped in rows
-                    if popcount(am & vs) >= p
+                    if (am & vs).bit_count() >= p
                 ]
                 if not from_s:
                     continue
@@ -340,7 +340,7 @@ class TreeDecomposition:
                         continue
                     vt = bag_masks[t_node]
                     for bm, sep, flipped in from_s:
-                        if popcount(bm & vt) >= p:
+                        if (bm & vt).bit_count() >= p:
                             if flipped:
                                 sep = sep.flip()
                             return LeannessViolation(s_node, t_node, p, sep)

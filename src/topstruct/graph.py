@@ -9,6 +9,7 @@ as bitmasks with bit v standing for vertex v.
 from dataclasses import dataclass, field
 
 from . import _kernels
+from ._kernels import bits  # re-exported; defined once, with the kernels
 from .errors import FormatError
 
 
@@ -26,17 +27,6 @@ def set_of(mask):
         out.add(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def popcount(mask):
-    return mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -86,11 +76,8 @@ class Graph:
     def neighbors(self, v):
         return set_of(self._adj[v])
 
-    def neighbor_mask(self, v):
-        return self._adj[v]
-
     def degree(self, v):
-        return popcount(self._adj[v])
+        return self._adj[v].bit_count()
 
     def sorted_edges(self):
         return sorted(self.edges)

@@ -11,7 +11,7 @@ decompositions of adhesion < k by exhaustive dynamic programming.
 from .decomposition import TreeDecomposition, leanness_table
 from .errors import BudgetExceeded, InvariantViolation, NotAViolation
 from .flows import disjoint_path_system
-from .graph import bits, mask_of, popcount, set_of
+from .graph import bits, mask_of, set_of
 from .separations import enumerate_separations, is_separation
 
 
@@ -260,7 +260,7 @@ def build_k_atomic_exact(g, k, budget=5_000_000):
             for v in bits(comp):
                 boundary |= g.adj[v]
             boundary &= wmask
-            if popcount(boundary) >= k:
+            if boundary.bit_count() >= k:
                 return None
             child_set = comp | boundary
             if child_set == smask:

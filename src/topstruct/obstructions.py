@@ -15,7 +15,7 @@ from .errors import (
     PreconditionFailed,
     SeparationDoesNotDecide,
 )
-from .graph import Graph, bits, mask_of, popcount, set_of
+from .graph import Graph, bits, mask_of, set_of
 from .separations import (
     Orientation,
     enumerate_separations,
@@ -52,12 +52,6 @@ class SubdivisionEmbedding:
     branch_vertices: tuple
     paths: dict  # (u, w) with u < w -> tuple of vertices
 
-    def interior_vertices(self):
-        out = set()
-        for path in self.paths.values():
-            out.update(path[1:-1])
-        return out
-
 
 # -- k-blocks ----------------------------------------------------------
 
@@ -87,7 +81,7 @@ def _bron_kerbosch(rel, verts_mask, budget):
         # pivot: vertex of p|x with most neighbors in p
         pivot, best = -1, -1
         for u in bits(p | x):
-            cnt = popcount(rel[u] & p)
+            cnt = (rel[u] & p).bit_count()
             if cnt > best:
                 pivot, best = u, cnt
         for v in bits(p & ~rel[pivot]):
@@ -112,7 +106,7 @@ def find_k_blocks(g, k, budget=DEFAULT_BUDGET):
     rel = _inseparable_relation(g, k)
     cliques = _bron_kerbosch(rel, g.vertex_mask, budget)
     blocks = [
-        Block(frozenset(set_of(c)), k) for c in cliques if popcount(c) >= k
+        Block(frozenset(set_of(c)), k) for c in cliques if c.bit_count() >= k
     ]
     blocks.sort(key=lambda b: tuple(sorted(b.vertices)))
     return blocks
@@ -218,7 +212,7 @@ class _ModelSearch:
         g = self.g
         opened = len(self.sets)
         if self.can_open and opened < self.m:
-            if popcount(remaining) < self.m - opened:
+            if remaining.bit_count() < self.m - opened:
                 return False
         for s in self.sets:
             if s == 0:
@@ -303,7 +297,7 @@ def find_subdivision(g, r, budget=DEFAULT_BUDGET):
     return None
 
 
-def _embed_pairs(g, branch, budget_ref, work, prescribed_only=False):
+def _embed_pairs(g, branch, budget_ref, work):
     pairs = list(itertools.combinations(branch, 2))
     branch_m = mask_of(branch)
     paths = {}
@@ -447,6 +441,12 @@ def check_rs_lemma(g, z, x, budget=2_000_000):
 # -- subdivision extraction --------------------------------------------
 
 
+def branch_count_fits(r, k, m):
+    """True iff (k, m) is large enough to extract a K_r subdivision:
+    r(r−1) ≤ k and 2r(r−1) − 1 ≤ m."""
+    return r * (r - 1) <= k and 2 * r * (r - 1) - 1 <= m
+
+
 def extract_subdivision(g, k, m, b, x, b0, budget=DEFAULT_BUDGET, *, seps=None):
     """K_r subdivision with branch vertices exactly b0, from a block and
     a clique model inducing the same orientation.
@@ -463,7 +463,7 @@ def extract_subdivision(g, k, m, b, x, b0, budget=DEFAULT_BUDGET, *, seps=None):
         raise PreconditionFailed("need at least two branch vertices")
     if not set(b0) <= set(b.vertices):
         raise PreconditionFailed("branch vertices must lie in the block")
-    if r * (r - 1) > k or 2 * r * (r - 1) - 1 > m:
+    if not branch_count_fits(r, k, m):
         raise PreconditionFailed(
             "parameters too small for %d branch vertices" % r
         )

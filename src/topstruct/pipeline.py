@@ -21,6 +21,7 @@ from .lean import build_k_lean
 from .obstructions import (
     DEFAULT_BUDGET,
     block_orientation,
+    branch_count_fits,
     extract_subdivision,
     find_clique_model,
     find_k_blocks,
@@ -31,10 +32,10 @@ from .separations import enumerate_separations, is_tight
 
 def _supported_branch_count(k, m):
     """Largest r ≥ 2 for which (k, m) supports the subdivision exit."""
-    if 2 > k or 3 > m:
+    if not branch_count_fits(2, k, m):
         return None
     r = 2
-    while (r + 1) * r <= k and 2 * (r + 1) * r - 1 <= m:
+    while branch_count_fits(r + 1, k, m):
         r += 1
     return r
 

@@ -49,25 +49,6 @@ class Separation:
         return (c.order, tuple(sorted(c.side_a)), tuple(sorted(c.side_b)))
 
 
-@dataclass(frozen=True)
-class OrientedSeparation:
-    """A separation together with a chosen big side (the W of (U, W))."""
-
-    separation: Separation
-    w_is_b: bool  # True if side_b is the big side
-
-    @property
-    def u_side(self):
-        return self.separation.side_a if self.w_is_b else self.separation.side_b
-
-    @property
-    def w_side(self):
-        return self.separation.side_b if self.w_is_b else self.separation.side_a
-
-    def flip(self):
-        return OrientedSeparation(self.separation, not self.w_is_b)
-
-
 def is_separation(g, a, b):
     """True iff a ∪ b = V and no edge joins a∖b to b∖a."""
     am, bm = mask_of(a), mask_of(b)
@@ -178,17 +159,6 @@ class Orientation:
 
     def w_side(self, s):
         raise NotImplementedError
-
-    def orient(self, s):
-        w = self.w_side(s)
-        return OrientedSeparation(s, w_is_b=(w == s.side_b))
-
-    def contains(self, oriented):
-        """Membership test for an OrientedSeparation."""
-        return self.w_side(oriented.separation) == oriented.w_side
-
-    def agrees_with(self, other, s):
-        return self.w_side(s) == other.w_side(s)
 
 
 class ExplicitOrientation(Orientation):

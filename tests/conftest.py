@@ -55,6 +55,19 @@ def brute_min_vertex_cut(g, u, v):
     raise AssertionError("unreachable")
 
 
+def brute_menger(g, src, dst, allowed):
+    """Smallest S ⊆ allowed meeting every src–dst path in G[allowed], by
+    subset enumeration; a vertex in src ∩ dst is such a path itself."""
+    allowed = sorted(allowed)
+    outside = set(g.vertices) - set(allowed)
+    dst = set(dst) & set(allowed)
+    for size in range(len(allowed) + 1):
+        for s in itertools.combinations(allowed, size):
+            if not brute_reachable(g, src, outside | set(s)) & dst:
+                return size
+    raise AssertionError("unreachable")
+
+
 def brute_set_split(g, bset, k):
     """True iff some separation of order < k has bset on neither side."""
     for s in enumerate_separations(g, k):

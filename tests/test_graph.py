@@ -16,7 +16,6 @@ from topstruct.graph import (
     parse_gr,
     path_graph,
     petersen_graph,
-    popcount,
     random_graph,
     set_of,
     write_gr,
@@ -27,7 +26,6 @@ def test_mask_helpers():
     assert mask_of([1, 3, 5]) == 0b101010
     assert set_of(0b101010) == {1, 3, 5}
     assert list(bits(0b1100)) == [2, 3]
-    assert popcount(0b10110) == 3
 
 
 def test_from_edges_rejects_loops_and_range():

@@ -1,9 +1,8 @@
 import random
 
-from conftest import brute_reachable
+from conftest import brute_menger, brute_reachable
 
-from topstruct import _kernels
-from topstruct.flows import disjoint_path_system
+from topstruct import _kernels, flows
 from topstruct.graph import mask_of, path_graph, random_graph, set_of
 
 
@@ -50,12 +49,10 @@ def test_kernels_match_independent_oracles():
         verts = sorted(set_of(g.vertex_mask))
         src = mask_of(rng.sample(verts, min(2, len(verts))))
         dst = mask_of(rng.sample(verts, min(2, len(verts))))
-        paths, _ = disjoint_path_system(
-            g, set_of(src), set_of(dst), g.vertices
-        )
-        assert _kernels.max_disjoint_paths(
-            g.adj, g.n, src, dst, g.vertex_mask
-        ) == len(paths)
+        for within in (g.vertex_mask, allowed):
+            assert _kernels.max_disjoint_paths(
+                g.adj, g.n, src, dst, within
+            ) == brute_menger(g, set_of(src), set_of(dst), set_of(within))
 
 
 def test_components_of_80_vertex_graph():
@@ -67,7 +64,8 @@ def test_components_of_80_vertex_graph():
 
 def test_kernels_call_no_public_kernel(monkeypatch):
     # perfbench/tracer.py counts kernel calls by wrapping these module
-    # names, so the kernels must not call one another through them
+    # names, so neither the kernels nor the path system read from their
+    # max-flow may call them
     names = ("reachable", "components", "is_connected", "max_disjoint_paths")
     kernel = {name: getattr(_kernels, name) for name in names}
 
@@ -86,6 +84,9 @@ def test_kernels_call_no_public_kernel(monkeypatch):
     assert kernel["max_disjoint_paths"](
         g.adj, 4, mask_of([1, 2]), mask_of([1, 4]), full
     ) == 2
+    assert flows.disjoint_path_system(g, {1, 2}, {1, 4}, g.vertices) == (
+        [(1,), (2, 3, 4)], {1, 2}
+    )
 
 
 def test_pure_flow_known_values():

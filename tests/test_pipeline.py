@@ -58,6 +58,8 @@ def test_parameters():
     assert p.r == 2 and p.generalized
     p = Parameters.generalized_km(6, 11)
     assert p.r == 3
+    # k = 6 allows r = 3, but 2 * 3 * 2 - 1 = 11 > m = 10 does not
+    assert Parameters.generalized_km(6, 10).r == 2
     with pytest.raises(ValueError):
         Parameters.generalized_km(1, 6)
 
