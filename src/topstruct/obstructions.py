@@ -232,6 +232,60 @@ class _ModelSearch:
         return True
 
 
+def refutes_clique_minor(g, m):
+    """True only when g has no K_m minor: a polynomial refutation that
+    is exact when it answers True; False decides nothing.
+
+    For m ≤ 3 the rule is a count: K_m needs m vertices and
+    m(m−1)/2 edges.  For m ≥ 4 the graph is first reduced without
+    changing whether K_m is a minor.  Isolated vertices go.  A vertex v
+    of degree 1 or 2 is contracted into a neighbour a: a singleton
+    branch set needs m − 1 ≥ 3 neighbours, so v is unused or shares a
+    connected branch set with a neighbour; if that neighbour is the
+    other one, b, then v is a leaf of its set, and after the
+    contraction a is adjacent to b, so the model survives without v.
+    (For m = 3 this step is wrong: it turns a triangle into an edge.)
+
+    The reduced graph has minimum degree ≥ 3.  Take a K_m model with
+    union U: its connected branch sets hold at least |U| − m edges, at
+    least m(m−1)/2 more join them, and every vertex outside U has degree
+    ≥ 3, so at least 3|V − U|/2 ≥ |V − U| further edges touch V − U.
+    Hence a K_m minor needs |E| − (|V| − m) ≥ m(m−1)/2, and the test
+    refutes when this fails or fewer than m vertices remain.
+
+    The reduction runs on adjacency masks and is written here
+    independently of the verifier's, so that the search and the check
+    that certifies its blue torsos share no code.
+    """
+    need = m * (m - 1) // 2
+    if m <= 3:
+        return g.n < m or len(g.edges) < need
+    adj = list(g.adj)
+    alive = g.vertex_mask
+    edges = len(g.edges)
+    low = [v for v in g.vertices if adj[v].bit_count() <= 2]
+    while low:
+        v = low.pop()
+        if not (alive >> v) & 1 or adj[v].bit_count() > 2:
+            continue
+        alive &= ~(1 << v)
+        nbrs = list(bits(adj[v]))
+        for w in nbrs:
+            adj[w] &= ~(1 << v)
+        edges -= len(nbrs)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            if not (adj[a] >> b) & 1:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+                edges += 1
+        for w in nbrs:
+            if adj[w].bit_count() <= 2:
+                low.append(w)
+    verts = alive.bit_count()
+    return verts < m or edges - (verts - m) < need
+
+
 def find_clique_model(g, m, budget=DEFAULT_BUDGET, require_meet=None):
     """A model of K_m in g, or None; exact backtracking search."""
     if m < 0:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,12 +17,18 @@ from topstruct.graph import (
     random_graph,
 )
 from topstruct.lean import (
+    _minimize_witness,
+    _shift_side,
     build_k_atomic_exact,
     build_k_lean,
     improvement_step,
     lean_step_trace,
 )
-from topstruct.separations import enumerate_separations
+from topstruct.separations import (
+    Separation,
+    enumerate_separations,
+    is_separation,
+)
 
 
 def test_build_on_named_graphs():
@@ -75,6 +82,56 @@ def test_improvement_step_applies_real_violation():
     out = improvement_step(g, td, viol)
     assert out.validate(g)
     assert out.fatness(6) < td.fatness(6)
+
+
+def test_improvement_step_shifts_a_non_minimum_witness(monkeypatch):
+    """A witness whose separator lies outside the bag is shrunk by the
+    Menger shift before the exchange.
+
+    Two K_4s, {1..4} and {7..10}, hang on the middle vertices 5 and 6;
+    on the left only vertex 4 reaches them.  Node 1's bag holds both
+    K_4s, node 2's the middle.  The order-2 witness through {5, 6}
+    covers 4 vertices of bag 1 on each side, but the left K_4 sends only
+    one path to {5, 6}, so the shift must replace it by the order-1
+    separation through {4}.  Both directions are tried, so the shift
+    runs once on the A side and once on the B side.
+    """
+    left, right = [1, 2, 3, 4], [7, 8, 9, 10]
+    g = Graph.from_edges(
+        10,
+        list(itertools.combinations(left, 2))
+        + list(itertools.combinations(right, 2))
+        + [(4, 5), (4, 6), (5, 7), (6, 8)],
+    )
+    bags = {1: frozenset(left + right), 2: frozenset({4, 5, 6, 7, 8})}
+    td = TreeDecomposition({1, 2}, {(1, 2)}, bags)
+    assert td.validate(g)
+    shifts = []
+
+    def spy(g, a, b, bag, sep):
+        out = _shift_side(g, a, b, bag, sep)
+        shifts.append((len(a & b), out))
+        return out
+
+    monkeypatch.setattr("topstruct.lean._shift_side", spy)
+    bag = bags[1]
+    for witness in (
+        Separation.of({1, 2, 3, 4, 5, 6}, {5, 6, 7, 8, 9, 10}),
+        Separation.of({5, 6, 7, 8, 9, 10}, {1, 2, 3, 4, 5, 6}),
+    ):
+        viol = LeannessViolation(1, 1, 3, witness)
+        shifts.clear()
+        a, b, _, _ = _minimize_witness(g, td, viol)
+        assert len(shifts) == 1
+        old_order, (side, other) = shifts[0]
+        assert is_separation(g, side, other)
+        assert len(side & other) < old_order
+        assert is_separation(g, a, b)
+        assert (a & b) == {4} and len(a & b) < witness.order
+        assert len(a & bag) >= viol.p and len(b & bag) >= viol.p
+        out = improvement_step(g, td, viol)
+        assert out.validate(g)
+        assert out.fatness(g.n) < td.fatness(g.n)
 
 
 def test_budget_exceeded():

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from topstruct.graph import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    grid_graph,
     path_graph,
     petersen_graph,
     random_graph,
@@ -32,6 +35,7 @@ from topstruct.obstructions import (
     find_z_based_model,
     model_orientation,
     orientations_agree,
+    refutes_clique_minor,
     serialize_model,
     serialize_subdivision,
 )
@@ -40,7 +44,7 @@ from topstruct.separations import (
     enumerate_separations,
     orientation_is_consistent,
 )
-from topstruct.verifier import verify_subdivision
+from topstruct.verifier import minor_oracle, verify_subdivision
 
 
 # -- blocks --------------------------------------------------------------
@@ -113,6 +117,56 @@ def test_model_require_meet():
 def test_model_budget():
     with pytest.raises(BudgetExceeded):
         find_clique_model(complete_graph(9), 5, budget=3)
+
+
+def _perfbench_corpora():
+    """The graphs of the three benchmark workloads at seed 1."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [
+        g
+        for w in workloads.WORKLOADS.values()
+        for g in workloads.make_graphs(w, 1, Graph)
+    ]
+
+
+def test_refutation_agrees_with_minor_oracle():
+    """Whenever refutes_clique_minor refutes K_m, the verifier's
+    independent oracle finds no K_m minor either."""
+    graphs = (
+        small_corpus(101, 500, 12)  # the acceptance corpus
+        + _perfbench_corpora()
+        + [grid_graph(3, 4), grid_graph(3, 5), grid_graph(4, 4)]
+        + [petersen_graph(), complete_graph(6), complete_graph(7)]
+    )
+    refuted = beyond_counting = kept = 0
+    for g in graphs:
+        for m in range(4, 8):
+            if not refutes_clique_minor(g, m):
+                kept += 1
+                continue
+            assert not minor_oracle(g, m), (sorted(g.edges), m)
+            refuted += 1
+            beyond_counting += g.n >= m and len(g.edges) >= m * (m - 1) // 2
+    assert refuted > 4500 and beyond_counting > 500 and kept > 1000
+    # exact at the boundary: K_m itself survives, K_m minus an edge not
+    for m in range(4, 8):
+        km = complete_graph(m)
+        assert not refutes_clique_minor(km, m)
+        assert refutes_clique_minor(Graph(m, km.edges - {(1, 2)}), m)
+
+
+def test_refutation_counts_below_four():
+    # m ≤ 3 is a vertex and edge count; the degree-2 contraction would
+    # turn the triangle into an edge
+    assert not refutes_clique_minor(cycle_graph(3), 3)
+    assert refutes_clique_minor(path_graph(3), 3)
+    assert refutes_clique_minor(Graph.from_edges(3, []), 2)
+    assert not refutes_clique_minor(Graph.from_edges(1, []), 1)
+    assert refutes_clique_minor(Graph.from_edges(0, []), 1)
+    assert not refutes_clique_minor(Graph.from_edges(0, []), 0)
 
 
 # -- z-based models ------------------------------------------------------
