@@ -244,24 +244,9 @@ def _model_home_nodes(g, m, td, budget):
 
     A node t qualifies exactly when some model has every branch set
     meeting the bag V_t, which the constrained search decides directly.
-    Three exact prunes skip searches that cannot succeed, in this order:
-    ``refutes_clique_minor`` on g refutes every node at once; m disjoint
-    branch sets cannot all meet a bag of fewer than m vertices; and a
-    node is refuted when ``refutes_clique_minor`` refutes its torso.
-
-    Why the torso refutation is exact: suppose a model has every branch
-    set meeting V_t, and intersect each branch set with V_t.  Every
-    component of G − V_t lies on the far side of one tree edge ts, and
-    its neighbours in V_t lie in the adhesion set V_t ∩ V_s.  So a path
-    inside a branch set that leaves V_t comes back through the same
-    adhesion set it left by; and an edge between two branch sets that
-    is not inside V_t has an end in such a component, so both sets
-    meet its adhesion set.  Every adhesion set is a clique in the
-    torso, so the intersected sets are nonempty, disjoint, connected and
-    pairwise adjacent there: a K_m model in the torso.  If the torso
-    has none, t is no home.  Only refuted nodes are skipped, so every
-    home keeps the model the search finds for it.
-
+    Two exact prunes skip searches that cannot succeed:
+    ``refutes_clique_minor`` on g refutes every node at once, and m
+    disjoint branch sets cannot all meet a bag of fewer than m vertices.
     For m ≤ 3 the refutation is only a vertex and edge count: its
     degree-2 contraction would turn a triangle into an edge.
     """
@@ -270,8 +255,6 @@ def _model_home_nodes(g, m, td, budget):
         return homes
     for t in sorted(td.nodes):
         if len(td.bags[t]) < m:
-            continue
-        if refutes_clique_minor(td.torso_at_node(g, t)[0], m):
             continue
         model = find_clique_model(g, m, budget=budget, require_meet=td.bags[t])
         if model is not None:
