@@ -246,14 +246,27 @@ def refutes_clique_minor(g, m):
     contraction a is adjacent to b, so the model survives without v.
     (For m = 3 this step is wrong: it turns a triangle into an edge.)
 
-    The reduced graph has minimum degree ≥ 3.  Take a K_m model with
-    union U: its connected branch sets hold at least |U| − m edges, at
-    least m(m−1)/2 more join them, and every vertex outside U has degree
-    ≥ 3, so at least 3|V − U|/2 ≥ |V − U| further edges touch V − U.
-    Hence a K_m minor needs |E| − (|V| − m) ≥ m(m−1)/2, and the test
-    refutes when this fails or fewer than m vertices remain.
+    The reduced graph, reached when the least degree is first ≥ 3, has
+    minimum degree ≥ 3.  Take a K_m model with union U: its connected
+    branch sets hold at least |U| − m edges, at least m(m−1)/2 more join
+    them, and every vertex outside U has degree ≥ 3, so at least
+    3|V − U|/2 ≥ |V − U| further edges touch V − U.  Hence a K_m minor
+    needs |E| − (|V| − m) ≥ m(m−1)/2, and the test refutes when this
+    fails or fewer than m vertices remain.
 
-    The reduction runs on adjacency masks and is written here
+    Past that test the elimination goes on: the vertex of least degree,
+    lowest label first, has its neighbours joined into a clique and is
+    removed; the degree-≤ 2 steps above are the start of this same
+    ordering.  Every elimination ordering is a tree decomposition of
+    its width, the largest degree met: its bags are {v} ∪ N(v), with
+    N(v) taken when v is removed.  Treewidth does not grow under taking
+    minors and tw(K_m) = m − 1, so an ordering of width below m − 1
+    refutes K_m; the loop gives up at the first vertex of degree
+    ≥ m − 1.  The surplus rule stays: sparse graphs of large treewidth,
+    such as many random cubic graphs, fail the count but not the width
+    bound.
+
+    The elimination runs on adjacency masks and is written here
     independently of the verifier's, so that the search and the check
     that certifies its blue torsos share no code.
     """
@@ -262,28 +275,23 @@ def refutes_clique_minor(g, m):
         return g.n < m or len(g.edges) < need
     adj = list(g.adj)
     alive = g.vertex_mask
-    edges = len(g.edges)
-    low = [v for v in g.vertices if adj[v].bit_count() <= 2]
-    while low:
-        v = low.pop()
-        if not (alive >> v) & 1 or adj[v].bit_count() > 2:
-            continue
+    surplus_checked = False
+    while alive:
+        v = min(bits(alive), key=lambda u: adj[u].bit_count())
+        nbrs = adj[v]
+        degree = nbrs.bit_count()
+        if degree >= 3 and not surplus_checked:
+            verts = alive.bit_count()
+            edges = sum(adj[u].bit_count() for u in bits(alive)) // 2
+            if verts < m or edges - (verts - m) < need:
+                return True
+            surplus_checked = True
+        if degree >= m - 1:
+            return False
         alive &= ~(1 << v)
-        nbrs = list(bits(adj[v]))
-        for w in nbrs:
-            adj[w] &= ~(1 << v)
-        edges -= len(nbrs)
-        if len(nbrs) == 2:
-            a, b = nbrs
-            if not (adj[a] >> b) & 1:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-                edges += 1
-        for w in nbrs:
-            if adj[w].bit_count() <= 2:
-                low.append(w)
-    verts = alive.bit_count()
-    return verts < m or edges - (verts - m) < need
+        for w in bits(nbrs):
+            adj[w] = (adj[w] | nbrs) & ~((1 << w) | (1 << v))
+    return True
 
 
 def find_clique_model(g, m, budget=DEFAULT_BUDGET, require_meet=None):

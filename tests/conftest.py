@@ -106,6 +106,55 @@ def is_valid_model(g, model, m):
     return True
 
 
+def surplus_refutes(g, m):
+    """The edge-surplus rule for K_m, m ≥ 4, on vertex sets.
+
+    Delete isolated and degree-1 vertices and suppress degree-2 ones
+    (joining their two neighbours) until none is left; then K_m is
+    refuted when fewer than m vertices remain or |E| − (|V| − m) falls
+    below m(m−1)/2.
+    """
+    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+    low = [v for v in nbrs if len(nbrs[v]) <= 2]
+    while low:
+        v = low.pop()
+        if v not in nbrs or len(nbrs[v]) > 2:
+            continue
+        around = nbrs.pop(v)
+        for w in around:
+            nbrs[w] = (nbrs[w] | around) - {v, w}
+            low.append(w)
+    edges = sum(len(s) for s in nbrs.values()) // 2
+    return len(nbrs) < m or edges - (len(nbrs) - m) < m * (m - 1) // 2
+
+
+def min_degree_width(g):
+    """Width of the greedy elimination ordering that always removes a
+    vertex of least degree, lowest label first, after joining its
+    neighbours into a clique: an upper bound on the treewidth."""
+    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+    width = 0
+    while nbrs:
+        v = min(nbrs, key=lambda u: (len(nbrs[u]), u))
+        around = nbrs.pop(v)
+        width = max(width, len(around))
+        for w in around:
+            nbrs[w] = (nbrs[w] | around) - {v, w}
+    return width
+
+
+def planar_3_tree(n, rng):
+    """A random planar 3-tree on n ≥ 4 vertices: K_4, then each new
+    vertex is stacked into a random triangular face."""
+    edges = set(itertools.combinations(range(1, 5), 2))
+    faces = list(itertools.combinations(range(1, 5), 3))
+    for v in range(5, n + 1):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges |= {(a, v), (b, v), (c, v)}
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    return Graph.from_edges(n, edges)
+
+
 def small_corpus(seed, count, max_n, probs=(0.2, 0.4, 0.7), min_n=1):
     rng = random.Random(seed)
     out = []

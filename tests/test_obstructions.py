@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import blocks_by_definition, is_valid_model, small_corpus
+from conftest import (
+    blocks_by_definition,
+    is_valid_model,
+    min_degree_width,
+    planar_3_tree,
+    small_corpus,
+    surplus_refutes,
+)
 
 from topstruct.errors import (
     BudgetExceeded,
@@ -134,28 +141,66 @@ def _perfbench_corpora():
 
 def test_refutation_agrees_with_minor_oracle():
     """Whenever refutes_clique_minor refutes K_m, the verifier's
-    independent oracle finds no K_m minor either."""
+    independent oracle finds no K_m minor either.  The refutation is
+    exactly the union of the edge-surplus rule and the width bound of
+    the greedy min-degree elimination."""
     graphs = (
         small_corpus(101, 500, 12)  # the acceptance corpus
         + _perfbench_corpora()
         + [grid_graph(3, 4), grid_graph(3, 5), grid_graph(4, 4)]
         + [petersen_graph(), complete_graph(6), complete_graph(7)]
     )
-    refuted = beyond_counting = kept = 0
+    refuted = beyond_counting = width_only = kept = 0
     for g in graphs:
+        width = min_degree_width(g)
         for m in range(4, 8):
-            if not refutes_clique_minor(g, m):
+            by_surplus = surplus_refutes(g, m)
+            by_width = width < m - 1
+            refutes = refutes_clique_minor(g, m)
+            assert refutes == (by_surplus or by_width), (sorted(g.edges), m)
+            if not refutes:
                 kept += 1
                 continue
             assert not minor_oracle(g, m), (sorted(g.edges), m)
             refuted += 1
             beyond_counting += g.n >= m and len(g.edges) >= m * (m - 1) // 2
-    assert refuted > 4500 and beyond_counting > 500 and kept > 1000
+            width_only += not by_surplus
+    assert refuted > 4800 and beyond_counting > 800 and width_only > 200
+    assert kept > 900
     # exact at the boundary: K_m itself survives, K_m minus an edge not
     for m in range(4, 8):
         km = complete_graph(m)
         assert not refutes_clique_minor(km, m)
         assert refutes_clique_minor(Graph(m, km.edges - {(1, 2)}), m)
+
+
+def _random_cubic(n, rng):
+    """A random 3-regular graph on n vertices: a uniform pairing of
+    three points per vertex, redrawn until it has no loop or repeated
+    edge."""
+    while True:
+        points = [v for v in range(1, n + 1) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            return Graph.from_edges(n, edges)
+
+
+def test_refutation_by_width_and_by_surplus():
+    # treewidth 3 and 4, but too many edges for the surplus rule
+    rng = random.Random(3)
+    for n in range(8, 13):
+        g = planar_3_tree(n, rng)
+        for m in (6, 7):
+            assert refutes_clique_minor(g, m)
+        assert not surplus_refutes(g, 6)
+    assert refutes_clique_minor(grid_graph(4, 5), 6)
+    assert not surplus_refutes(grid_graph(4, 5), 6)
+    # 16 vertices and 24 edges leave no room for K_6, but the greedy
+    # elimination of this cubic graph reaches degree 5
+    cubic = _random_cubic(16, random.Random(8))
+    assert surplus_refutes(cubic, 6) and min_degree_width(cubic) >= 5
+    assert refutes_clique_minor(cubic, 6)
 
 
 def test_refutation_counts_below_four():

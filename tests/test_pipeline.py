@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import small_corpus
+from conftest import planar_3_tree, small_corpus, surplus_refutes
 
 from topstruct import pipeline
 from topstruct.decomposition import TreeDecomposition
@@ -30,6 +30,7 @@ from topstruct.obstructions import (
     find_clique_model,
     find_k_blocks,
     model_orientation,
+    refutes_clique_minor,
 )
 from topstruct.pipeline import (
     Parameters,
@@ -266,11 +267,18 @@ def test_model_homes_match_unpruned_search():
     """The prunes in _model_home_nodes skip only searches that fail.
 
     Besides each lean result, every multi-bag decomposition the lean
-    builder passes through is compared.
+    builder passes through is compared.  The planar 3-trees at (2, 7)
+    are refuted by the width bound where the surplus rule cannot.
     """
-    homes_seen = empty_seen = 0
-    for k, m in [(2, 4), (3, 6), (2, 5)]:
-        for g in small_corpus(29, 40, 10):
+    rng = random.Random(11)
+    corpus = small_corpus(29, 40, 10)
+    cases = [(2, 4, corpus), (3, 6, corpus), (2, 5, corpus)]
+    cases.append((2, 7, [planar_3_tree(n, rng) for n in (10, 11, 11, 12)]))
+    homes_seen = empty_seen = width_only = 0
+    for k, m, graphs in cases:
+        for g in graphs:
+            if refutes_clique_minor(g, m) and not surplus_refutes(g, m):
+                width_only += 1
             tds = [td for _, td in lean_step_trace(g, k) if len(td.nodes) > 1]
             tds.append(build_k_lean(g, k))
             for td in tds:
@@ -286,7 +294,7 @@ def test_model_homes_match_unpruned_search():
                 assert set(got) == want
                 homes_seen += bool(want)
                 empty_seen += not want
-    assert homes_seen > 5 and empty_seen > 5
+    assert homes_seen > 5 and empty_seen > 5 and width_only > 0
 
 
 def test_model_homes_skip_search_below_edge_count(monkeypatch):
@@ -309,11 +317,20 @@ def test_model_homes_skip_search_below_edge_count(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("rows, cols", [(3, 5), (4, 4)])
-def test_grids_refuted_without_model_search(monkeypatch, rows, cols):
-    """Grids 3×5 and 4×4 at (3, 6) hold no K_6 minor, which the
-    edge-surplus refutation proves on the whole graph, so no model
-    search runs at all."""
+_SCALING_FIXTURES = {
+    "3-5": lambda: grid_graph(3, 5),
+    "4-4": lambda: grid_graph(4, 4),
+    "4-5": lambda: grid_graph(4, 5),
+    "rand16": lambda: random_graph(16, 0.25, random.Random(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALING_FIXTURES))
+def test_grids_refuted_without_model_search(monkeypatch, name):
+    """Grids 3×5, 4×4 and 4×5 and rand16 at (3, 6) hold no K_6 minor.
+    The edge-surplus rule proves it for the first two, the greedy
+    elimination width for the other two, on the whole graph, so no
+    model search runs at all."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -321,7 +338,7 @@ def test_grids_refuted_without_model_search(monkeypatch, rows, cols):
         return find_clique_model(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "find_clique_model", counting)
-    g = grid_graph(rows, cols)
+    g = _SCALING_FIXTURES[name]()
     params = Parameters.generalized_km(3, 6)
     result = run_structure(g, params)
     assert calls == []
