@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import (
+    DEFAULT_BUDGET,
     FormatError,
     InconsistentOrientation,
     NotAnEdge,
@@ -301,7 +302,7 @@ class TreeDecomposition:
             out[s] = low
         return out
 
-    def check_k_lean(self, g, k, budget=2_000_000, *, table=None):
+    def check_k_lean(self, g, k, budget=DEFAULT_BUDGET, *, table=None):
         """None iff k-lean; else the first violation in canonical order.
 
         Order: smallest p, then lexicographic (s, t), then the witness of

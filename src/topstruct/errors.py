@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one work budget.
+
+Every exhaustive search charges a ``Budget`` meter: one unit per
+2-colouring of a separator's components in the S_k enumeration, per
+vertex pair of the k-block relation, per lean exchange step, and per
+node of every other search.  ``run_structure`` and ``verify_theorem``
+each build one meter and pass it to every stage, so ``--budget`` bounds
+the whole run; ``BudgetExceeded`` names the stage that ran out.
+"""
+
+DEFAULT_BUDGET = 10_000_000
 
 
 class TopstructError(Exception):
@@ -15,6 +25,25 @@ class BudgetExceeded(TopstructError):
     def __init__(self, message="work budget exhausted", spent=None):
         super().__init__(message)
         self.spent = spent
+
+
+class Budget:
+    """A work meter: ``limit`` units, of which ``spent`` are used."""
+
+    def __init__(self, limit=DEFAULT_BUDGET):
+        self.limit = limit
+        self.spent = 0
+
+    @classmethod
+    def of(cls, budget):
+        """``budget`` itself if it is a meter, else a meter of that size."""
+        return budget if isinstance(budget, cls) else cls(budget)
+
+    def charge(self, stage, units=1):
+        """Spend ``units``; raise ``BudgetExceeded`` past the limit."""
+        self.spent += units
+        if self.spent > self.limit:
+            raise BudgetExceeded("%s budget" % stage, spent=self.spent)
 
 
 class AdjacentPair(TopstructError):

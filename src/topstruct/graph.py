@@ -12,6 +12,9 @@ from . import _kernels
 from ._kernels import bits  # re-exported; defined once, with the kernels
 from .errors import FormatError
 
+# The largest vertex count a .gr header may declare; see parse_gr.
+MAX_GR_VERTICES = 65_536
+
 
 def mask_of(vertices):
     m = 0
@@ -138,7 +141,12 @@ class Graph:
 
 
 def parse_gr(text):
-    """Parse PACE-style graph text: `p tw <n> <m>` header, `<u> <v>` edges."""
+    """Parse PACE-style graph text: `p tw <n> <m>` header, `<u> <v>` edges.
+
+    A header declaring more than ``MAX_GR_VERTICES`` vertices raises
+    ``FormatError``: the graph would hold one mask per vertex, and no
+    exponential search could use so large a graph.
+    """
     n = None
     declared_m = None
     edges = []
@@ -158,6 +166,12 @@ def parse_gr(text):
                 raise FormatError("non-integer header fields", lineno)
             if n < 0 or declared_m < 0:
                 raise FormatError("negative header fields", lineno)
+            if n > MAX_GR_VERTICES:
+                raise FormatError(
+                    "header declares %d vertices, at most %d allowed"
+                    % (n, MAX_GR_VERTICES),
+                    lineno,
+                )
         else:
             if n is None:
                 raise FormatError("edge before header", lineno)

@@ -9,7 +9,7 @@ decompositions of adhesion < k by exhaustive dynamic programming.
 """
 
 from .decomposition import TreeDecomposition, leanness_table
-from .errors import BudgetExceeded, InvariantViolation, NotAViolation
+from .errors import DEFAULT_BUDGET, Budget, InvariantViolation, NotAViolation
 from .flows import disjoint_path_system
 from .graph import bits, mask_of, set_of
 from .separations import enumerate_separations, is_separation
@@ -150,7 +150,7 @@ def _prune(td):
     return TreeDecomposition(nodes, edges, bags)
 
 
-def build_k_lean(g, k, budget=None, *, seps=None):
+def build_k_lean(g, k, budget=DEFAULT_BUDGET, *, seps=None):
     """A k-lean tree-decomposition of g, by iterated improvement.
 
     ``seps`` is S_k(g) as ``enumerate_separations(g, k)`` returns it, for
@@ -162,7 +162,7 @@ def build_k_lean(g, k, budget=None, *, seps=None):
     return td
 
 
-def lean_step_trace(g, k, budget=None, *, seps=None):
+def lean_step_trace(g, k, budget=DEFAULT_BUDGET, *, seps=None):
     """The steps of build_k_lean: yields (violation, td) after each
     exchange.
 
@@ -171,24 +171,22 @@ def lean_step_trace(g, k, budget=None, *, seps=None):
     every ``check_k_lean`` step scans: both directions of each
     separation, ascending by (order, sort_key), each separation just
     before its flip.  In that order a step's first matching row is its
-    minimum witness.
+    minimum witness.  Each exchange step costs one unit of ``budget``;
+    the loop ends regardless, since every step strictly lowers the
+    fatness (``improvement_step`` raises otherwise).
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if budget is None:
-        budget = 10 * g.n * g.n + 10
+    budget = Budget.of(budget)
     if seps is None:
-        seps = enumerate_separations(g, k)
+        seps = enumerate_separations(g, k, budget=budget)
     table = leanness_table(seps)
     td = TreeDecomposition.single_bag(g.vertices)
-    steps = 0
     while True:
         viol = td.check_k_lean(g, k, table=table)
         if viol is None:
             return
-        steps += 1
-        if steps > budget:
-            raise BudgetExceeded("lean builder exceeded %d steps" % budget)
+        budget.charge("lean builder")
         td = improvement_step(g, td, viol)
         yield viol, td
 
@@ -204,7 +202,7 @@ def _merge_sizes(*size_tuples):
     return tuple(out)
 
 
-def build_k_atomic_exact(g, k, budget=5_000_000):
+def build_k_atomic_exact(g, k, budget=DEFAULT_BUDGET):
     """Minimum-fatness decomposition of adhesion < k (exhaustive).
 
     Fatness is compared via descending bag-size multisets, which matches
@@ -220,7 +218,7 @@ def build_k_atomic_exact(g, k, budget=5_000_000):
         return TreeDecomposition.single_bag(())
     full = g.vertex_mask
     memo = {}
-    work = [0]
+    budget = Budget.of(budget)
 
     def best(smask, rmask):
         key = (smask, rmask)
@@ -233,9 +231,7 @@ def build_k_atomic_exact(g, k, budget=5_000_000):
         sub = 0
         while True:
             wmask = rmask | sub
-            work[0] += 1
-            if work[0] > budget:
-                raise BudgetExceeded("exact builder budget", spent=work[0])
+            budget.charge("exact builder")
             candidate = _evaluate_root(smask, wmask)
             if candidate is not None:
                 sizes, plan = candidate

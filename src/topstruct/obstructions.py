@@ -9,7 +9,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
-    BudgetExceeded,
+    DEFAULT_BUDGET,
+    Budget,
     InvariantViolation,
     OrientationMismatch,
     PreconditionFailed,
@@ -21,8 +22,6 @@ from .separations import (
     enumerate_separations,
     min_vertex_cut,
 )
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,14 @@ class SubdivisionEmbedding:
 # -- k-blocks ----------------------------------------------------------
 
 
-def _inseparable_relation(g, k):
-    """Adjacency of the auxiliary graph: uv related iff edge or cut ≥ k."""
+def _inseparable_relation(g, k, budget):
+    """Adjacency of the auxiliary graph: uv related iff edge or cut ≥ k.
+
+    Each pair costs one unit of ``budget``: a pair's cut is a max-flow.
+    """
     rel = [0] * (g.n + 1)
     for u, v in itertools.combinations(sorted(g.vertices), 2):
+        budget.charge("k-block relation")
         if g.has_edge(u, v) or min_vertex_cut(g, u, v) >= k:
             rel[u] |= 1 << v
             rel[v] |= 1 << u
@@ -69,12 +72,9 @@ def _inseparable_relation(g, k):
 def _bron_kerbosch(rel, verts_mask, budget):
     """Maximal cliques of the relation graph, with pivoting."""
     out = []
-    work = [0]
 
     def expand(r, p, x):
-        work[0] += 1
-        if work[0] > budget:
-            raise BudgetExceeded("clique enumeration budget", spent=work[0])
+        budget.charge("clique enumeration")
         if p == 0 and x == 0:
             out.append(r)
             return
@@ -103,7 +103,8 @@ def find_k_blocks(g, k, budget=DEFAULT_BUDGET):
     """
     if k < 1:
         raise ValueError("k must be positive")
-    rel = _inseparable_relation(g, k)
+    budget = Budget.of(budget)
+    rel = _inseparable_relation(g, k, budget)
     cliques = _bron_kerbosch(rel, g.vertex_mask, budget)
     blocks = [
         Block(frozenset(set_of(c)), k) for c in cliques if c.bit_count() >= k
@@ -132,8 +133,7 @@ class _ModelSearch:
     def __init__(self, g, m, budget, require_meet=None, seeds=None):
         self.g = g
         self.m = m
-        self.budget = budget
-        self.work = 0
+        self.budget = Budget.of(budget)
         self.meet = mask_of(require_meet) if require_meet is not None else None
         if seeds is None:
             self.sets = []
@@ -159,9 +159,7 @@ class _ModelSearch:
         return self._rec(0)
 
     def _rec(self, i):
-        self.work += 1
-        if self.work > self.budget:
-            raise BudgetExceeded("model search budget", spent=self.work)
+        self.budget.charge("model search")
         done = self._complete()
         if done is not None:
             return done
@@ -312,27 +310,25 @@ def find_z_based_model(g, z, budget=DEFAULT_BUDGET, require_meet=None):
 # -- subdivisions ------------------------------------------------------
 
 
-def _simple_paths(g, start, goal_m, allowed_m, budget, work):
+def _simple_paths(g, start, goal_m, allowed_m, budget):
     """Yield simple paths from start into goal_m inside allowed_m, lex order."""
     path = [start]
     used = 1 << start
 
     def rec():
-        work[0] += 1
-        if work[0] > budget[0]:
-            raise BudgetExceeded("path enumeration budget", spent=work[0])
+        nonlocal used
+        budget.charge("path enumeration")
         v = path[-1]
         if (goal_m >> v) & 1 and len(path) > 1:
             yield tuple(path)
             return
-        for w in bits(g.adj[v] & allowed_m & ~used_ref[0]):
+        for w in bits(g.adj[v] & allowed_m & ~used):
             path.append(w)
-            used_ref[0] |= 1 << w
+            used |= 1 << w
             yield from rec()
-            used_ref[0] &= ~(1 << w)
+            used &= ~(1 << w)
             path.pop()
 
-    used_ref = [used]
     yield from rec()
 
 
@@ -350,37 +346,35 @@ def find_subdivision(g, r, budget=DEFAULT_BUDGET):
     candidates = sorted(v for v in g.vertices if g.degree(v) >= r - 1)
     if len(candidates) < r:
         return None
-    budget_ref = [budget]
-    work = [0]
+    budget = Budget.of(budget)
     for combo in itertools.combinations(candidates, r):
-        emb = _embed_pairs(g, combo, budget_ref, work)
+        emb = _embed_pairs(g, combo, budget)
         if emb is not None:
             return emb
     return None
 
 
-def _embed_pairs(g, branch, budget_ref, work):
+def _embed_pairs(g, branch, budget):
     pairs = list(itertools.combinations(branch, 2))
     branch_m = mask_of(branch)
     paths = {}
-    used_interior = [0]
+    used_interior = 0
 
     def rec(idx):
-        work[0] += 1
-        if work[0] > budget_ref[0]:
-            raise BudgetExceeded("subdivision search budget", spent=work[0])
+        nonlocal used_interior
+        budget.charge("subdivision search")
         if idx == len(pairs):
             return True
         u, w = pairs[idx]
         goal = 1 << w
-        allowed = (g.vertex_mask & ~branch_m & ~used_interior[0]) | (1 << u) | goal
-        for path in _simple_paths(g, u, goal, allowed, budget_ref, work):
+        allowed = (g.vertex_mask & ~branch_m & ~used_interior) | (1 << u) | goal
+        for path in _simple_paths(g, u, goal, allowed, budget):
             interior = mask_of(path[1:-1])
             paths[(u, w)] = path
-            used_interior[0] |= interior
+            used_interior |= interior
             if rec(idx + 1):
                 return True
-            used_interior[0] &= ~interior
+            used_interior &= ~interior
             del paths[(u, w)]
         return False
 
@@ -463,7 +457,7 @@ def model_orientation(g, k, x):
     return ModelOrientation(g, k, x)
 
 
-def orientations_agree(g, k, o1, o2, budget=2_000_000, *, seps=None):
+def orientations_agree(g, k, o1, o2, budget=DEFAULT_BUDGET, *, seps=None):
     """True iff o1 and o2 direct every order-< k separation the same way.
 
     ``seps`` is S_k(g) from a caller that already enumerated it.
@@ -479,7 +473,7 @@ def orientations_agree(g, k, o1, o2, budget=2_000_000, *, seps=None):
 # -- the Z-based-model lemma -------------------------------------------
 
 
-def check_rs_lemma(g, z, x, budget=2_000_000):
+def check_rs_lemma(g, z, x, budget=DEFAULT_BUDGET):
     """Hypothesis test: does the model x orient S_{|z|}(G^Z) like Z does?
 
     x must be a model of K_q in the overlay graph with q ≥ 2|z| − 1;
@@ -529,6 +523,7 @@ def extract_subdivision(g, k, m, b, x, b0, budget=DEFAULT_BUDGET, *, seps=None):
         raise PreconditionFailed(
             "parameters too small for %d branch vertices" % r
         )
+    budget = Budget.of(budget)
     o_b = BlockOrientation(g, k, b)
     o_x = ModelOrientation(g, k, x)
     if not orientations_agree(g, k, o_b, o_x, budget=budget, seps=seps):

@@ -12,14 +12,15 @@ from dataclasses import dataclass, field
 
 from .decomposition import TreeDecomposition
 from .errors import (
+    DEFAULT_BUDGET,
     BichromaticComponent,
+    Budget,
     CoverageImpossible,
     Indistinguishable,
     UncoloredComponent,
 )
 from .lean import build_k_lean
 from .obstructions import (
-    DEFAULT_BUDGET,
     block_orientation,
     branch_count_fits,
     extract_subdivision,
@@ -93,7 +94,7 @@ class StructureResult:
 # -- orientation comparison --------------------------------------------
 
 
-def distinguishing_order(g, o1, o2, budget=2_000_000):
+def distinguishing_order(g, o1, o2, budget=DEFAULT_BUDGET):
     """Minimum order of a separation the two orientations direct apart."""
     if o1.k != o2.k:
         raise ValueError("orientations live on different S_k")
@@ -268,14 +269,16 @@ def run_structure(g, params, budget=DEFAULT_BUDGET, default_blue=True):
     Either a subdivision of K_r with branch vertices inside some block
     (when a block and a model share a home node on the lean
     decomposition), or the colored, blue-contracted decomposition.
+    Every stage charges the one ``budget``.
     """
+    budget = Budget.of(budget)
     report = []
     report.append("k=%d m=%d r=%d%s" % (
         params.k, params.m, params.r,
         " (generalized)" if params.generalized else "",
     ))
     seps = enumerate_separations(g, params.k, budget=budget)
-    td = build_k_lean(g, params.k, seps=seps)
+    td = build_k_lean(g, params.k, budget=budget, seps=seps)
     report.append(
         "lean decomposition: %d nodes, adhesion %d, largest bag %d"
         % (

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import AdjacentPair, BudgetExceeded, SeparationDoesNotDecide
+from .errors import DEFAULT_BUDGET, AdjacentPair, Budget, SeparationDoesNotDecide
 from .graph import bits, mask_of
 
 
@@ -99,7 +99,7 @@ def min_vertex_cut(g, u, v):
     return _kernels.max_disjoint_paths(g.adj, g.n, g.adj[u], g.adj[v], allowed)
 
 
-def enumerate_separations(g, max_order, budget=2_000_000):
+def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
     """Every separation of order < max_order, canonically, each pair once.
 
     Iterates over candidate separators and 2-colorings of the remaining
@@ -112,8 +112,8 @@ def enumerate_separations(g, max_order, budget=2_000_000):
     as vertex lists (``tuple`` of a generator over-allocates and then
     shrinks, which fragmented memory and raised peak RSS by 3-5 %).
     """
+    budget = Budget.of(budget)
     keyed = []
-    work = 0
     verts = sorted(g.vertices)
     full = g.vertex_mask
     for size in range(0, max_order):
@@ -123,9 +123,7 @@ def enumerate_separations(g, max_order, budget=2_000_000):
             sep_m = mask_of(sep)
             rest = full & ~sep_m
             comps = g.component_masks(rest)
-            work += 1 << len(comps)
-            if work > budget:
-                raise BudgetExceeded("separation enumeration", spent=work)
+            budget.charge("separation enumeration", 1 << len(comps))
             if not comps:  # the separator is all of V: (V, V)
                 keyed.append((size, list(sep), list(sep)))
                 continue
@@ -186,7 +184,7 @@ class ExplicitOrientation(Orientation):
             raise SeparationDoesNotDecide("separation not in explicit table")
 
 
-def orientation_is_consistent(g, orientation, budget=2_000_000):
+def orientation_is_consistent(g, orientation, budget=DEFAULT_BUDGET):
     """Exhaustive consistency check at oracle scale.
 
     Inconsistent means: two members (A,B), (C,D) with B ⊆ C and D ⊆ A.

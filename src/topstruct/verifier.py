@@ -8,10 +8,10 @@ oracles.
 
 import itertools
 
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, Budget, BudgetExceeded
 from .graph import bits
 
-ORACLE_BUDGET = 2_000_000
+_CANONICAL_CAP = 200_000
 
 
 # -- subdivision verification ------------------------------------------
@@ -70,13 +70,14 @@ def model_from_subdivision(g, s):
 # -- canonical forms ----------------------------------------------------
 
 
-def canonical_key(g, budget=200_000):
+def canonical_key(g):
     """A canonical, label-independent key for g.
 
     Iterative refinement plus individualization; exact (two graphs get
-    the same key iff isomorphic).  On pathological inputs the work
-    counter trips and we fall back to a sound non-canonical labeled key,
-    which only costs memoization hits, never correctness.
+    the same key iff isomorphic).  On pathological inputs its own work
+    cap, ``_CANONICAL_CAP``, apart from any run's budget, trips and we
+    fall back to a sound non-canonical labeled key, which only costs
+    memoization hits, never correctness.
     """
     n = g.n
     verts = sorted(g.vertices)
@@ -84,7 +85,7 @@ def canonical_key(g, budget=200_000):
     adj_rows = [
         [index[w] for w in bits(g.adj[v]) if w in index] for v in verts
     ]
-    work = [0]
+    budget = Budget(_CANONICAL_CAP)
 
     def refine(colors):
         while True:
@@ -110,9 +111,7 @@ def canonical_key(g, budget=200_000):
         )
 
     def search(colors):
-        work[0] += 1
-        if work[0] > budget:
-            raise BudgetExceeded("canonical labeling budget")
+        budget.charge("canonical labeling")
         colors = refine(colors)
         classes = {}
         for i, c in enumerate(colors):
@@ -203,7 +202,7 @@ def _reduce_for_minor(g, m):
             g = g.contract_edge(nb, v)
 
 
-def minor_oracle(g, m, budget=ORACLE_BUDGET):
+def minor_oracle(g, m, budget=DEFAULT_BUDGET):
     """True iff g has a K_m minor; exact recursive contraction search.
 
     A minor model, contracted branch set by branch set, leaves a K_m
@@ -233,8 +232,8 @@ def minor_oracle(g, m, budget=ORACLE_BUDGET):
     it started with.  So an edge whose ends share more than ``surplus``
     neighbours leads only to children that fail (a); such edges are
     never contracted, and a graph with no other edge is refuted before
-    it is keyed or memoized.  The work counter counts ``solve`` calls,
-    so these pruned children cost no budget.
+    it is keyed or memoized.  ``budget`` is charged one unit per
+    ``solve`` call, so these pruned children cost nothing.
     """
     if m <= 0:
         return True
@@ -245,13 +244,11 @@ def minor_oracle(g, m, budget=ORACLE_BUDGET):
     if m == 3:
         return _has_cycle(g)
     memo = {}
-    work = [0]
+    budget = Budget.of(budget)
     need_edges = m * (m - 1) // 2
 
     def solve(g):
-        work[0] += 1
-        if work[0] > budget:
-            raise BudgetExceeded("minor oracle budget", spent=work[0])
+        budget.charge("minor oracle")
         g = _reduce_for_minor(g, m)
         surplus = len(g.edges) - (len(g.vertices) - m) - need_edges
         if len(g.vertices) < m or surplus < 0:
@@ -325,15 +322,17 @@ def _torso_degree_count(torso, threshold):
     return sum(1 for v in torso.vertices if torso.degree(v) >= threshold)
 
 
-def verify_theorem(g, params, result, budget=ORACLE_BUDGET):
+def verify_theorem(g, params, result, budget=DEFAULT_BUDGET):
     """Check a decomposition result against the structure theorem.
 
     Standard mode (params derived from r): adhesion < r² and every torso
     either has fewer than r² vertices of degree ≥ 2r⁴ or no K_{2r²}
     minor.  Generalized mode checks the sharper internal bounds instead:
     adhesion < k, red torsos with fewer than k vertices of degree ≥ 2k²,
-    blue torsos with no K_m minor.
+    blue torsos with no K_m minor.  Every minor check charges the one
+    ``budget``; a check that runs out of it is reported unverified.
     """
+    budget = Budget.of(budget)
     report = Report()
     td = result.decomposition
     if td is None:
@@ -378,17 +377,10 @@ def verify_theorem(g, params, result, budget=ORACLE_BUDGET):
                 % (label, high, deg_threshold, deg_bound),
             )
             continue
-        if params.generalized and color == "blue":
-            try:
-                has = minor_oracle(torso, minor_m, budget=budget)
-                report.check(
-                    not has, "%s: no K_%d minor" % (label, minor_m)
-                )
-            except BudgetExceeded:
-                report.budget("%s: K_%d minor check" % (label, minor_m))
-            continue
-        # standard mode (or uncolored): the either/or of the theorem
-        if degree_ok:
+        blue = params.generalized and color == "blue"
+        # a blue torso needs the minor check; any other torso gets the
+        # either/or of the theorem, degree condition first
+        if degree_ok and not blue:
             report.check(
                 True,
                 "%s: degree condition (%d high-degree vertices)"
@@ -397,11 +389,15 @@ def verify_theorem(g, params, result, budget=ORACLE_BUDGET):
             continue
         try:
             has = minor_oracle(torso, minor_m, budget=budget)
+        except BudgetExceeded:
+            report.budget("%s: K_%d minor check" % (label, minor_m))
+            continue
+        if blue:
+            report.check(not has, "%s: no K_%d minor" % (label, minor_m))
+        else:
             report.check(
                 not has,
                 "%s: degree condition failed, minor condition %s"
                 % (label, "holds" if not has else "fails too"),
             )
-        except BudgetExceeded:
-            report.budget("%s: K_%d minor check" % (label, minor_m))
     return report

@@ -2,13 +2,14 @@
 FormatError, and ``topstruct verify`` maps bad decompositions to the
 CLI contract (64 for bad input, 1 for a violation)."""
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from topstruct.cli import main
 from topstruct.decomposition import parse_td
 from topstruct.errors import FormatError
-from topstruct.graph import parse_gr, path_graph, write_gr
+from topstruct.graph import MAX_GR_VERTICES, parse_gr, path_graph, write_gr
 
 FUZZ = settings(max_examples=200, deadline=None)
 CLI_FUZZ = settings(max_examples=40, deadline=None)
@@ -68,6 +69,17 @@ def test_parse_gr_raises_only_format_error(text):
 )
 def test_parse_td_raises_only_format_error(text):
     _parses_or_format_error(parse_td, text)
+
+
+def test_oversized_gr_header_is_a_format_error(tmp_path):
+    # refused from the header alone, before one mask per vertex is built
+    assert parse_gr("p tw %d 0\n" % MAX_GR_VERTICES).n == MAX_GR_VERTICES
+    for n in (MAX_GR_VERTICES + 1, 10 ** 9):
+        with pytest.raises(FormatError, match="line 1"):
+            parse_gr("p tw %d 0\n" % n)
+    gr = tmp_path / "huge.gr"
+    gr.write_text("p tw 1000000000 0\n")
+    assert main(["find", "--kind", "block", "--k", "2", str(gr)]) == 64
 
 
 def _verify(tmp_path_factory, n, bags, edges):

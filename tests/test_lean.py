@@ -6,7 +6,7 @@ import pytest
 from conftest import small_corpus
 
 from topstruct.decomposition import LeannessViolation, TreeDecomposition
-from topstruct.errors import BudgetExceeded, NotAViolation
+from topstruct.errors import Budget, BudgetExceeded, NotAViolation
 from topstruct.graph import (
     Graph,
     complete_graph,
@@ -139,6 +139,17 @@ def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         # complete graph needs no steps... use a graph requiring some
         build_k_lean(grid_graph(3, 3), 3, budget=0)
+
+
+def test_lean_steps_charge_the_budget():
+    # the 3x3 grid takes four exchange steps at k = 3, one unit each
+    g = grid_graph(3, 3)
+    seps = enumerate_separations(g, 3)
+    with pytest.raises(BudgetExceeded, match="lean builder"):
+        build_k_lean(g, 3, budget=3, seps=seps)
+    meter = Budget(4)
+    build_k_lean(g, 3, budget=meter, seps=seps)
+    assert meter.spent == 4
 
 
 def test_random_corpus_is_lean():

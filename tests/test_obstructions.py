@@ -87,6 +87,15 @@ def test_blocks_budget():
         find_k_blocks(complete_graph(8), 2, budget=2)
 
 
+def test_blocks_budget_bounds_the_relation():
+    # P_30 has 435 vertex pairs, each a max-flow, but its relation graph
+    # is a path that Bron–Kerbosch expands in well under 200 nodes
+    g = path_graph(30)
+    with pytest.raises(BudgetExceeded, match="k-block relation"):
+        find_k_blocks(g, 2, budget=200)
+    assert len(find_k_blocks(g, 2)) == 29
+
+
 # -- clique models -------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from topstruct import pipeline
 from topstruct.decomposition import TreeDecomposition
 from topstruct.errors import (
     BichromaticComponent,
+    Budget,
     BudgetExceeded,
     CoverageImpossible,
     Indistinguishable,
@@ -41,6 +42,7 @@ from topstruct.pipeline import (
     run_structure,
     select_f,
 )
+from topstruct.separations import enumerate_separations
 from topstruct.verifier import verify_subdivision, verify_theorem
 
 
@@ -234,6 +236,22 @@ def test_run_structure_budget_bounds_separation_enumeration():
         run_structure(
             petersen_graph(), Parameters.generalized_km(3, 6), budget=1
         )
+
+
+def test_run_structure_stages_share_one_budget():
+    # on the Petersen graph at (3, 6) S_k costs 112 units, the k-block
+    # relation 45 and its clique enumeration 11: each fits in 150, the
+    # run does not, and the error carries the meter's total
+    g, p = petersen_graph(), Parameters.generalized_km(3, 6)
+    meter = Budget(150)
+    with pytest.raises(BudgetExceeded, match="k-block relation") as exc:
+        run_structure(g, p, budget=meter)
+    assert exc.value.spent == meter.spent > meter.limit
+    enumerate_separations(g, p.k, budget=150)
+    find_k_blocks(g, p.k, budget=150)
+    meter = Budget(168)
+    assert run_structure(g, p, budget=meter).variant == "decomposition"
+    assert meter.spent == 168
 
 
 def test_run_structure_lemma_properties():

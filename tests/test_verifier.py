@@ -85,6 +85,30 @@ def test_minor_oracle_budget():
         minor_oracle(grid_graph(4, 4), 5, budget=5)
 
 
+def test_verify_theorem_torsos_share_one_budget():
+    # two grids 3x4 glued at vertex 12: two blue torsos, whose K_5
+    # refutations cost 5 oracle units each
+    grid = grid_graph(3, 4)
+    g = Graph.from_edges(
+        23,
+        grid.sorted_edges()
+        + [(u + 11, v + 11) for u, v in grid.sorted_edges()],
+    )
+    td = TreeDecomposition(
+        {1, 2},
+        {(1, 2)},
+        {1: frozenset(range(1, 13)), 2: frozenset(range(12, 24))},
+    )
+    p = Parameters.generalized_km(3, 5)
+    blue = Coloring({1: "blue", 2: "blue"}, frozenset())
+    res = StructureResult(p, decomposition=td, coloring=blue)
+    assert not minor_oracle(grid, 5, budget=8)
+    rep = verify_theorem(g, p, res, budget=8)
+    assert rep.exit_code == 2
+    assert rep.unverified == ["torso 2 (blue, 12 vertices): K_5 minor check"]
+    assert verify_theorem(g, p, res, budget=10).exit_code == 0
+
+
 def test_minor_agrees_with_model_search():
     rng = random.Random(83)
     for _ in range(60):
