@@ -39,18 +39,21 @@ def leanness_table(seps):
     """Directed rows ``(order, A-mask, B-mask, separation, flipped)`` of S_k.
 
     ``seps`` comes as ``enumerate_separations`` returns it: canonical,
-    ascending by ``Separation.sort_key``.  Each separation's row is
-    followed by its flip's, so the rows ascend by (order, sort_key) and
-    ``TreeDecomposition.check_k_lean`` can stop at its first match.  A
-    flip's row holds the canonical separation with ``flipped`` set; only
-    the row a check returns is turned into ``separation.flip()``.
+    ascending by ``Separation.sort_key``.  The masks are the
+    separation's own, read without building a vertex set.  Each
+    separation's row is followed by its flip's, so the rows ascend by
+    (order, sort_key) and ``TreeDecomposition.check_k_lean`` can stop at
+    its first match.  A flip's row holds the canonical separation with
+    ``flipped`` set; only the row a check returns is turned into
+    ``separation.flip()``.
     """
     rows = []
     for s in seps:
-        am, bm = mask_of(s.side_a), mask_of(s.side_b)
-        rows.append((s.order, am, bm, s, False))
+        am, bm = s.mask_a, s.mask_b
+        order = (am & bm).bit_count()
+        rows.append((order, am, bm, s, False))
         if am != bm:
-            rows.append((s.order, bm, am, s, True))
+            rows.append((order, bm, am, s, True))
     return rows
 
 

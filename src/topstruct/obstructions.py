@@ -69,6 +69,32 @@ def _inseparable_relation(g, k, budget):
     return rel
 
 
+def _relation_from_separations(g, seps, budget):
+    """The same relation read off S_k: uv unrelated iff some separation
+    of order < k puts u and v on opposite exclusive sides.
+
+    A non-adjacent pair with a cut X of fewer than k vertices is split
+    by (C ∪ X, V ∖ C), C the component of u in G - X; an adjacent pair
+    is never split.  Charged like the max-flow relation, one unit per
+    vertex pair.
+    """
+    n = g.n
+    budget.charge("k-block relation", n * (n - 1) // 2)
+    split = [0] * (n + 1)
+    for s in seps:
+        only_a = s.mask_a & ~s.mask_b
+        only_b = s.mask_b & ~s.mask_a
+        if only_a.bit_count() > only_b.bit_count():
+            only_a, only_b = only_b, only_a
+        for u in bits(only_a):
+            split[u] |= only_b
+    for u in range(1, n + 1):  # make the relation symmetric
+        for v in bits(split[u]):
+            split[v] |= 1 << u
+    full = g.vertex_mask
+    return [0] + [full & ~split[u] & ~(1 << u) for u in range(1, n + 1)]
+
+
 def _bron_kerbosch(rel, verts_mask, budget):
     """Maximal cliques of the relation graph, with pivoting."""
     out = []
@@ -93,18 +119,26 @@ def _bron_kerbosch(rel, verts_mask, budget):
     return out
 
 
-def find_k_blocks(g, k, budget=DEFAULT_BUDGET):
+def find_k_blocks(g, k, budget=DEFAULT_BUDGET, *, seps=None):
     """All k-blocks of g, sorted by vertex set.
 
     A set is a k-block iff it has ≥ k vertices, no two of its vertices
     are separated by fewer than k other vertices, and it is maximal so;
     pairwise inseparability of the members is equivalent to the
     definition's set-level condition.
+
+    ``seps`` is S_k(g) as ``enumerate_separations(g, k)`` returns it, for
+    a caller that holds it already; the relation is then read off it.
+    Without it, each non-adjacent pair's cut is a max-flow: enumerating
+    S_k is exponential in k, the flows are polynomial.
     """
     if k < 1:
         raise ValueError("k must be positive")
     budget = Budget.of(budget)
-    rel = _inseparable_relation(g, k, budget)
+    if seps is None:
+        rel = _inseparable_relation(g, k, budget)
+    else:
+        rel = _relation_from_separations(g, seps, budget)
     cliques = _bron_kerbosch(rel, g.vertex_mask, budget)
     blocks = [
         Block(frozenset(set_of(c)), k) for c in cliques if c.bit_count() >= k
@@ -395,14 +429,15 @@ class BlockOrientation(Orientation):
         self.vertices = frozenset(
             block.vertices if isinstance(block, Block) else block
         )
+        self._mask = mask_of(self.vertices)
 
     def w_side(self, s):
         if s.order >= self.k:
             raise SeparationDoesNotDecide(
                 "order %d >= k=%d" % (s.order, self.k)
             )
-        in_a = self.vertices <= s.side_a
-        in_b = self.vertices <= s.side_b
+        in_a = not self._mask & ~s.mask_a
+        in_b = not self._mask & ~s.mask_b
         if in_a and in_b:
             raise InvariantViolation("block inside a separator smaller than k")
         if in_b:
@@ -426,9 +461,9 @@ class ModelOrientation(Orientation):
             raise SeparationDoesNotDecide(
                 "order %d >= k=%d" % (s.order, self.k)
             )
-        sep_m = mask_of(s.separator)
-        only_a = mask_of(s.side_a) & ~mask_of(s.side_b)
-        only_b = mask_of(s.side_b) & ~mask_of(s.side_a)
+        sep_m = s.mask_a & s.mask_b
+        only_a = s.mask_a & ~s.mask_b
+        only_b = s.mask_b & ~s.mask_a
         side = None
         for x in self._masks:
             if x & sep_m:

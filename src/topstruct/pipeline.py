@@ -287,7 +287,7 @@ def run_structure(g, params, budget=DEFAULT_BUDGET, default_blue=True):
             max((len(b) for b in td.bags.values()), default=0),
         )
     )
-    blocks = tuple(find_k_blocks(g, params.k, budget=budget))
+    blocks = tuple(find_k_blocks(g, params.k, budget=budget, seps=seps))
     block_homes = {}
     for b in blocks:
         home = td.home_node(block_orientation(g, params.k, b))

@@ -7,46 +7,106 @@ lazy orientations (see obstructions.py).
 """
 
 import itertools
-from dataclasses import dataclass
 
 from . import _kernels
 from .errors import DEFAULT_BUDGET, AdjacentPair, Budget, SeparationDoesNotDecide
 from .graph import bits, mask_of
 
 
-@dataclass(frozen=True)
 class Separation:
-    side_a: frozenset
-    side_b: frozenset
+    """An ordered pair (A, B) of vertex sets, held as two vertex masks.
+
+    Bit v of ``mask_a`` stands for vertex v of A, as in the kernels.
+    Equality and hash use the masks, which is the same as comparing the
+    sides.  ``side_a``, ``side_b`` and ``separator`` are frozensets,
+    built on first use; the enumerator and every consumer of S_k read
+    the masks and never build them.  ``Separation(a, b)`` takes any two
+    collections of vertices.  Instances are hashed, so treat them as
+    immutable.
+    """
+
+    __slots__ = ("mask_a", "mask_b", "_side_a", "_side_b")
+
+    def __init__(self, side_a, side_b):
+        self._side_a = frozenset(side_a)
+        self._side_b = frozenset(side_b)
+        self.mask_a = mask_of(self._side_a)
+        self.mask_b = mask_of(self._side_b)
 
     @staticmethod
     def of(a, b):
-        return Separation(frozenset(a), frozenset(b))
+        return Separation(a, b)
+
+    @classmethod
+    def _of_masks(cls, mask_a, mask_b):
+        s = cls.__new__(cls)
+        s.mask_a = mask_a
+        s.mask_b = mask_b
+        s._side_a = s._side_b = None
+        return s
+
+    @property
+    def side_a(self):
+        if self._side_a is None:
+            self._side_a = frozenset(bits(self.mask_a))
+        return self._side_a
+
+    @property
+    def side_b(self):
+        if self._side_b is None:
+            self._side_b = frozenset(bits(self.mask_b))
+        return self._side_b
 
     @property
     def separator(self):
-        return self.side_a & self.side_b
+        return frozenset(bits(self.mask_a & self.mask_b))
 
     @property
     def order(self):
-        return len(self.side_a & self.side_b)
+        return (self.mask_a & self.mask_b).bit_count()
+
+    def __eq__(self, other):
+        if not isinstance(other, Separation):
+            return NotImplemented
+        return self.mask_a == other.mask_a and self.mask_b == other.mask_b
+
+    def __hash__(self):
+        return hash((self.mask_a, self.mask_b))
+
+    def __repr__(self):
+        return "Separation(side_a=%r, side_b=%r)" % (self.side_a, self.side_b)
 
     def flip(self):
-        return Separation(self.side_b, self.side_a)
-
-    def _side_key(self, side):
-        exclusive = side - self.separator
-        return (min(exclusive) if exclusive else float("inf"), tuple(sorted(side)))
+        s = Separation._of_masks(self.mask_b, self.mask_a)
+        s._side_a, s._side_b = self._side_b, self._side_a
+        return s
 
     def canonical(self):
         """Sides ordered lexicographically by smallest exclusive vertex."""
-        if self._side_key(self.side_a) <= self._side_key(self.side_b):
-            return self
-        return self.flip()
+        only_a = self.mask_a & ~self.mask_b
+        only_b = self.mask_b & ~self.mask_a
+        if only_b and (not only_a or only_b & -only_b < only_a & -only_a):
+            return self.flip()
+        return self
 
     def sort_key(self):
         c = self.canonical()
-        return (c.order, tuple(sorted(c.side_a)), tuple(sorted(c.side_b)))
+        return (c.order, tuple(bits(c.mask_a)), tuple(bits(c.mask_b)))
+
+
+_SWAP_01 = str.maketrans("01", "10")
+
+
+def _mask_key(mask):
+    """A string that sorts like the ascending vertex tuple of ``mask``.
+
+    Character v is ``0`` when vertex v is in the set and ``1`` when not,
+    so the first vertex in which two sets differ decides, in favour of
+    the set holding it, and a set whose vertices run out first (a prefix
+    of the other's tuple) gives the shorter string.  Exact for sets of
+    positive vertices; bit 0, always clear, makes the empty set "1".
+    """
+    return bin(mask)[:1:-1].translate(_SWAP_01)
 
 
 def is_separation(g, a, b):
@@ -71,16 +131,15 @@ def is_tight(g, s, strict=False):
     to have a neighbor in each exclusive side, which is what the x == y
     reading would force.
     """
-    sep = s.separator
-    sep_m = mask_of(sep)
-    for side in (s.side_a, s.side_b):
-        side_m = mask_of(side)
+    sep_m = s.mask_a & s.mask_b
+    sep = list(bits(sep_m))
+    for side_m in (s.mask_a, s.mask_b):
         interior = side_m & ~sep_m
         if strict:
             for x in sep:
                 if not (g.adj[x] & interior):
                     return False
-        for x, y in itertools.combinations(sorted(sep), 2):
+        for x, y in itertools.combinations(sep, 2):
             if g.adj[x] >> y & 1:
                 continue
             reach = g.reachable_mask(g.adj[x] & interior, interior)
@@ -107,10 +166,9 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
     complement give one separation and its flip.  Only the colorings
     that put the component of the smallest non-separator vertex on side
     A are built: that side holds the smallest exclusive vertex, so each
-    of them is canonical and each unordered pair comes out once.  The
-    list is sorted by ``Separation.sort_key``, computed from the masks
-    as vertex lists (``tuple`` of a generator over-allocates and then
-    shrinks, which fragmented memory and raised peak RSS by 3-5 %).
+    of them is canonical and each unordered pair comes out once.  Each
+    separation is built from its two masks, and the list is sorted by
+    ``Separation.sort_key``, computed from the masks with ``_mask_key``.
     """
     budget = Budget.of(budget)
     keyed = []
@@ -125,7 +183,8 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
             comps = g.component_masks(rest)
             budget.charge("separation enumeration", 1 << len(comps))
             if not comps:  # the separator is all of V: (V, V)
-                keyed.append((size, list(sep), list(sep)))
+                key = _mask_key(sep_m)
+                keyed.append((size, key, key, sep_m, sep_m))
                 continue
             low = rest & -rest
             unions = [0]  # unions of every subset of the other components
@@ -136,9 +195,10 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
             others = rest & ~base_a
             for u in unions:
                 am, bm = base_a | u, sep_m | (others ^ u)
-                keyed.append((size, list(bits(am)), list(bits(bm))))
+                keyed.append((size, _mask_key(am), _mask_key(bm), am, bm))
     keyed.sort()
-    return [Separation(frozenset(a), frozenset(b)) for _, a, b in keyed]
+    of_masks = Separation._of_masks
+    return [of_masks(am, bm) for _, _, _, am, bm in keyed]
 
 
 # -- orientations ------------------------------------------------------
@@ -192,9 +252,8 @@ def orientation_is_consistent(g, orientation, budget=DEFAULT_BUDGET):
     seps = enumerate_separations(g, orientation.k, budget=budget)
     members = []
     for s in seps:
-        w = orientation.w_side(s)
-        u = s.side_a if w == s.side_b else s.side_b
-        members.append((mask_of(u), mask_of(w)))
+        w = mask_of(orientation.w_side(s))
+        members.append((s.mask_a if w == s.mask_b else s.mask_b, w))
     for i, (a, b) in enumerate(members):
         for j, (c, d) in enumerate(members):
             if i == j:

@@ -96,6 +96,30 @@ def test_blocks_budget_bounds_the_relation():
     assert len(find_k_blocks(g, 2)) == 29
 
 
+def test_blocks_from_separations_match_max_flow_relation():
+    # the relation read off S_k against one max-flow per pair, on n <= 9
+    rng = random.Random(67)
+    disconnected = 0
+    for i in range(200):
+        n = rng.randint(1, 9)
+        g = random_graph(n, rng.choice([0.1, 0.25, 0.5, 0.8]), rng)
+        if i % 4 == 0 and n > 1:  # a disjoint union of two random graphs
+            cut = rng.randint(1, n - 1)
+            h = random_graph(n - cut, rng.choice([0.5, 0.8]), rng)
+            g = Graph.from_edges(
+                n,
+                [(u, v) for u, v in g.edges if v <= cut]
+                + [(u + cut, v + cut) for u, v in h.edges],
+            )
+        disconnected += len(g.components()) > 1
+        k = 1 + i % 4
+        seps = enumerate_separations(g, k)
+        assert find_k_blocks(g, k, seps=seps) == find_k_blocks(g, k), (
+            k, g.sorted_edges()
+        )
+    assert disconnected >= 50
+
+
 # -- clique models -------------------------------------------------------
 
 

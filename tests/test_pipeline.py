@@ -5,7 +5,7 @@ import pytest
 
 from conftest import planar_3_tree, small_corpus, surplus_refutes
 
-from topstruct import pipeline
+from topstruct import obstructions, pipeline
 from topstruct.decomposition import TreeDecomposition
 from topstruct.errors import (
     BichromaticComponent,
@@ -252,6 +252,16 @@ def test_run_structure_stages_share_one_budget():
     meter = Budget(168)
     assert run_structure(g, p, budget=meter).variant == "decomposition"
     assert meter.spent == 168
+
+
+def test_run_structure_reads_the_block_relation_off_s_k(monkeypatch):
+    # the run holds S_k already, so the k-block relation needs no flow
+    def no_flow(*args):
+        raise AssertionError("max-flow for the k-block relation")
+
+    monkeypatch.setattr(obstructions, "min_vertex_cut", no_flow)
+    for g in small_corpus(71, 12, 9, min_n=4):
+        run_structure(g, Parameters.generalized_km(3, 6))
 
 
 def test_run_structure_lemma_properties():

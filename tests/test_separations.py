@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import brute_min_vertex_cut
+from conftest import brute_min_vertex_cut, small_corpus
 
 from topstruct.errors import (
     AdjacentPair,
@@ -27,6 +27,7 @@ from topstruct.separations import (
     min_vertex_cut,
     orientation_is_consistent,
 )
+from topstruct.separations import _mask_key
 
 
 def test_separation_basics():
@@ -136,6 +137,63 @@ def test_enumeration_contract():
         assert len(set(seps)) == len(seps)
         assert seps == sorted(seps, key=Separation.sort_key)
         assert {(s.side_a, s.side_b) for s in seps} == _brute_separations(g, k)
+
+
+def _vertex_tuple(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def test_mask_key_sorts_like_vertex_tuples():
+    rng = random.Random(59)
+    masks = [0]
+    for _ in range(400):
+        width = rng.randint(1, 130)
+        m = rng.getrandbits(width) << 1  # vertices are 1..130
+        masks.append(m)
+        # every prefix of its vertex tuple, and the set grown past its end
+        for cut in range(1, m.bit_length()):
+            if m >> cut & 1 and rng.random() < 0.3:
+                masks.append(m & ((1 << cut) - 1))
+        masks.append(m | 1 << rng.randint(m.bit_length() + 1, 140))
+    assert sorted(masks, key=_mask_key) == sorted(masks, key=_vertex_tuple)
+    for _ in range(20_000):
+        x, y = rng.choice(masks), rng.choice(masks)
+        assert (_mask_key(x) < _mask_key(y)) == (
+            _vertex_tuple(x) < _vertex_tuple(y)
+        )
+
+
+def _reference_canonical(a, b):
+    """The canonical (A, B) pair from the vertex sets alone: the side
+    with the smaller least exclusive vertex first, then the smaller
+    sorted tuple."""
+
+    def key(side, other):
+        exclusive = side - other
+        return (min(exclusive) if exclusive else float("inf"), sorted(side))
+
+    return (a, b) if key(a, b) <= key(b, a) else (b, a)
+
+
+def test_mask_built_separation_matches_set_built():
+    for i, g in enumerate(small_corpus(61, 40, 8, min_n=0)):
+        for s in enumerate_separations(g, 1 + i % 4):
+            for m in (s, s.flip()):
+                a = frozenset(_vertex_tuple(m.mask_a))
+                b = frozenset(_vertex_tuple(m.mask_b))
+                f = Separation(a, b)
+                assert (m.mask_a, m.mask_b) == (f.mask_a, f.mask_b)
+                assert m == f and hash(m) == hash(f)
+                assert (m.side_a, m.side_b) == (a, b)
+                assert m.separator == f.separator == a & b
+                assert m.order == f.order == len(a & b)
+                assert m.flip() == f.flip() == Separation(b, a)
+                ca, cb = _reference_canonical(a, b)
+                assert m.canonical() == f.canonical() == Separation(ca, cb)
+                assert m.sort_key() == f.sort_key() == (
+                    len(a & b), tuple(sorted(ca)), tuple(sorted(cb))
+                )
+            assert s.canonical() is s
 
 
 def test_is_tight():
