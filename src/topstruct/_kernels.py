@@ -29,12 +29,21 @@ def bits(mask):
 
 
 def _closure(adj, seen, allowed):
-    """Closure of ``seen``, a subset of ``allowed``, within ``allowed``."""
+    """Closure of ``seen``, a subset of ``allowed``, within ``allowed``.
+
+    Breadth-first by whole frontiers.  The inner loop peels the lowest
+    bit of the frontier in place rather than iterating ``bits``: every
+    closure of the S_k enumeration runs it, and the generator's
+    per-vertex resumption cost more than the loop's own work.
+    """
     frontier = seen
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= adj[low.bit_length() - 1]
+            f ^= low
         frontier = nxt & allowed & ~seen
         seen |= frontier
     return seen

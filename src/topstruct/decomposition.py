@@ -36,24 +36,28 @@ class LeannessViolation:
 
 
 def leanness_table(seps):
-    """Directed rows ``(order, A-mask, B-mask, separation, flipped)`` of S_k.
+    """Directed rows ``(order, A-mask, B-mask, separation, flipped)`` of
+    the separations in S_k that can witness a leanness violation.
 
     ``seps`` comes as ``enumerate_separations`` returns it: canonical,
     ascending by ``Separation.sort_key``.  The masks are the
-    separation's own, read without building a vertex set.  Each
-    separation's row is followed by its flip's, so the rows ascend by
-    (order, sort_key) and ``TreeDecomposition.check_k_lean`` can stop at
-    its first match.  A flip's row holds the canonical separation with
-    ``flipped`` set; only the row a check returns is turned into
-    ``separation.flip()``.
+    separation's own, read without building a vertex set.  A separation
+    with an empty exclusive side, (V, X) or (V, V), gets no rows: its
+    thin side is X itself, and a witness needs p > |X| of its vertices
+    on each side.  Each remaining separation's row is followed by its
+    flip's, so the rows ascend by (order, sort_key) and
+    ``TreeDecomposition.check_k_lean`` can stop at its first match.  A
+    flip's row holds the canonical separation with ``flipped`` set; only
+    the row a check returns is turned into ``separation.flip()``.
     """
     rows = []
     for s in seps:
         am, bm = s.mask_a, s.mask_b
+        if not am & ~bm or not bm & ~am:
+            continue
         order = (am & bm).bit_count()
         rows.append((order, am, bm, s, False))
-        if am != bm:
-            rows.append((order, bm, am, s, True))
+        rows.append((order, bm, am, s, True))
     return rows
 
 
@@ -316,9 +320,18 @@ class TreeDecomposition:
         caller that checks many decompositions of one graph builds it
         once, and without it the check builds its own.  The table's rows
         ascend by (order, sort_key), each separation just before its
-        flip, which shares its key.  So the rows of order < p form a
-        prefix, and for each (p, s, t) the first row with |A ∩ V_s| >= p
-        and |B ∩ V_t| >= p is the minimum witness.
+        flip, which shares its key.  So for each (p, s, t) the first row
+        of order < p with |A ∩ V_s| >= p and |B ∩ V_t| >= p is the
+        minimum witness.
+
+        Level p scans only the rows of order exactly p - 1.  Suppose a
+        row of order o < p - 1 qualified at (p, s, t).  Then it would
+        also qualify at (o + 1, s, t): o + 1 <= p, and p is at most the
+        path minimum, |A ∩ V_s| and |B ∩ V_t|.  So the check would have
+        returned at level o + 1 already.  Reaching level p, no row of
+        order < p - 1 qualifies there, and the first match among the
+        rows of order p - 1 is the first match among all rows of order
+        < p.
         """
         if self.adhesion() >= k:
             raise ValueError("adhesion %d >= k=%d" % (self.adhesion(), k))
@@ -327,8 +340,12 @@ class TreeDecomposition:
         bag_masks = {node: mask_of(bag) for node, bag in self.bags.items()}
         ordered_nodes = sorted(self.nodes)
         path_min = self._path_minima()
+        order_of = itemgetter(0)
         for p in range(1, k + 1):
-            rows = table[: bisect_left(table, p, key=itemgetter(0))]
+            rows = table[
+                bisect_left(table, p - 1, key=order_of) :
+                bisect_left(table, p, key=order_of)
+            ]
             for s_node in ordered_nodes:
                 vs = bag_masks[s_node]
                 from_s = [

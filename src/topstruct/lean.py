@@ -12,22 +12,22 @@ from .decomposition import TreeDecomposition, leanness_table
 from .errors import DEFAULT_BUDGET, Budget, InvariantViolation, NotAViolation
 from .flows import disjoint_path_system
 from .graph import bits, mask_of, set_of
-from .separations import enumerate_separations, is_separation
+from .separations import enumerate_separations, is_mask_separation
 
 
 def _violation_is_genuine(g, td, viol):
     if viol.s not in td.nodes or viol.t not in td.nodes:
         return False
     w = viol.witness
-    if not is_separation(g, w.side_a, w.side_b):
+    if not is_mask_separation(g, w.mask_a, w.mask_b):
         return False
     if w.order >= viol.p or viol.p < 1:
         return False
     if viol.s != viol.t and td.min_order_on_path(viol.s, viol.t) < viol.p:
         return False
     return (
-        len(w.side_a & td.bags[viol.s]) >= viol.p
-        and len(w.side_b & td.bags[viol.t]) >= viol.p
+        (w.mask_a & mask_of(td.bags[viol.s])).bit_count() >= viol.p
+        and (w.mask_b & mask_of(td.bags[viol.t])).bit_count() >= viol.p
     )
 
 
@@ -169,7 +169,8 @@ def lean_step_trace(g, k, budget=DEFAULT_BUDGET, *, seps=None):
     g never changes, so S_k(g) is enumerated once (unless the caller
     passes it as ``seps``) and turned once into the directed table that
     every ``check_k_lean`` step scans: both directions of each
-    separation, ascending by (order, sort_key), each separation just
+    separation with two non-empty exclusive sides (no other can be a
+    witness), ascending by (order, sort_key), each separation just
     before its flip.  In that order a step's first matching row is its
     minimum witness.  Each exchange step costs one unit of ``budget``;
     the loop ends regardless, since every step strictly lowers the

@@ -111,7 +111,11 @@ def _mask_key(mask):
 
 def is_separation(g, a, b):
     """True iff a ∪ b = V and no edge joins a∖b to b∖a."""
-    am, bm = mask_of(a), mask_of(b)
+    return is_mask_separation(g, mask_of(a), mask_of(b))
+
+
+def is_mask_separation(g, am, bm):
+    """``is_separation`` on the two sides' vertex masks."""
     if (am | bm) != g.vertex_mask:
         return False
     only_a = am & ~bm
@@ -174,6 +178,7 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
     keyed = []
     verts = sorted(g.vertices)
     full = g.vertex_mask
+    full_key = _mask_key(full)  # every separator gives one row (V, X)
     for size in range(0, max_order):
         if size > g.n:
             break
@@ -183,8 +188,7 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
             comps = g.component_masks(rest)
             budget.charge("separation enumeration", 1 << len(comps))
             if not comps:  # the separator is all of V: (V, V)
-                key = _mask_key(sep_m)
-                keyed.append((size, key, key, sep_m, sep_m))
+                keyed.append((size, full_key, full_key, sep_m, sep_m))
                 continue
             low = rest & -rest
             unions = [0]  # unions of every subset of the other components
@@ -195,7 +199,8 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
             others = rest & ~base_a
             for u in unions:
                 am, bm = base_a | u, sep_m | (others ^ u)
-                keyed.append((size, _mask_key(am), _mask_key(bm), am, bm))
+                key_a = full_key if am == full else _mask_key(am)
+                keyed.append((size, key_a, _mask_key(bm), am, bm))
     keyed.sort()
     of_masks = Separation._of_masks
     return [of_masks(am, bm) for _, _, _, am, bm in keyed]

@@ -5,7 +5,11 @@ import pytest
 
 from conftest import small_corpus
 
-from topstruct.decomposition import LeannessViolation, TreeDecomposition
+from topstruct.decomposition import (
+    LeannessViolation,
+    TreeDecomposition,
+    leanness_table,
+)
 from topstruct.errors import Budget, BudgetExceeded, NotAViolation
 from topstruct.graph import (
     Graph,
@@ -73,6 +77,27 @@ def test_improvement_step_rejects_non_violation():
     wrong_node = LeannessViolation(5, 5, 2, Separation.of({1, 2}, {2, 3}))
     with pytest.raises(NotAViolation):
         improvement_step(g, td, wrong_node)
+
+
+def test_improvement_step_rejects_thin_sides_and_non_separations():
+    # bag 1 = {1, 2, 3} holds three vertices of A = {1, 2, 3} but only
+    # one of B = {3, 4, 5}; at p = 2 each direction fails on one side
+    g = path_graph(5)
+    td = TreeDecomposition({1, 2}, {(1, 2)}, {1: {1, 2, 3}, 2: {3, 4, 5}})
+    left, right = {1, 2, 3}, {3, 4, 5}
+    for node, a, b in [(1, left, right), (1, right, left), (2, left, right)]:
+        viol = LeannessViolation(node, node, 2, Separation.of(a, b))
+        with pytest.raises(NotAViolation):
+            improvement_step(g, td, viol)
+    # on the single bag the sides are thick enough; the first pair is
+    # crossed by the edge 34, the second leaves vertex 5 uncovered
+    whole = TreeDecomposition.single_bag(range(1, 6))
+    for p, a, b in [(1, {1, 2, 3}, {4, 5}), (2, {1, 2, 3}, {3, 4})]:
+        viol = LeannessViolation(1, 1, p, Separation.of(a, b))
+        with pytest.raises(NotAViolation):
+            improvement_step(g, whole, viol)
+    viol = LeannessViolation(1, 1, 2, Separation.of(left, right))
+    assert improvement_step(g, whole, viol).validate(g)
 
 
 def test_improvement_step_applies_real_violation():
@@ -255,3 +280,88 @@ def test_check_k_lean_matches_definition():
                     across_nodes += want.s != want.t
                     flipped += want.witness.canonical() != want.witness
     assert violations > 100 and across_nodes > 10 and flipped > 3
+
+
+def test_leanness_table_holds_both_directions_of_proper_separations():
+    """The table drops exactly the separations with an empty exclusive
+    side, (V, X) and (V, V), and keeps both directions of every other
+    one, ascending by (order, sort_key), each just before its flip."""
+    dropped = 0
+    for k in (2, 3, 4):
+        for g in small_corpus(60 + k, 30, 9):
+            seps = enumerate_separations(g, k)
+            rows = leanness_table(seps)
+            want = []
+            for sep in seps:
+                if sep.side_a <= sep.side_b or sep.side_b <= sep.side_a:
+                    dropped += 1
+                    continue
+                want += [sep, sep.flip()]
+            got = []
+            for order, am, bm, sep, flipped in rows:
+                assert am & ~bm and bm & ~am
+                directed = sep.flip() if flipped else sep
+                assert (directed.mask_a, directed.mask_b) == (am, bm)
+                assert order == directed.order
+                got.append(directed)
+            assert got == want
+            keys = [(sep.order, sep.sort_key()) for sep in got]
+            assert keys == sorted(keys)
+    assert dropped > 100
+
+
+def _every_directed_row(seps):
+    """Both directions of every separation in S_k, (V, X) and (V, V)
+    included, in the row layout of ``leanness_table``."""
+    rows = []
+    for sep in seps:
+        am, bm = sep.mask_a, sep.mask_b
+        rows.append((sep.order, am, bm, sep, False))
+        if am != bm:
+            rows.append((sep.order, bm, am, sep, True))
+    return rows
+
+
+def _prefix_scan(td, k, rows):
+    """The leanness check scanning, at level p, every row of order < p."""
+    bags = {node: sum(1 << v for v in bag) for node, bag in td.bags.items()}
+    nodes = sorted(td.nodes)
+    for p in range(1, k + 1):
+        for s in nodes:
+            for t in nodes:
+                if s != t and td.min_order_on_path(s, t) < p:
+                    continue
+                for order, am, bm, sep, flipped in rows:
+                    if (
+                        order < p
+                        and (am & bags[s]).bit_count() >= p
+                        and (bm & bags[t]).bit_count() >= p
+                    ):
+                        return LeannessViolation(
+                            s, t, p, sep.flip() if flipped else sep
+                        )
+    return None
+
+
+def test_check_k_lean_needs_no_degenerate_row_and_no_lower_order():
+    """The filtered table and the order-(p - 1) slice give the violation
+    of a scan over every directed row of order < p, on every
+    decomposition the lean builder visits and on the lean result with
+    one tree edge contracted (where s and t differ)."""
+    violations = across_nodes = 0
+    for k in (2, 3, 4):
+        for g in small_corpus(80 + k, 25, 9):
+            seps = enumerate_separations(g, k)
+            table, every = leanness_table(seps), _every_directed_row(seps)
+            tds = [TreeDecomposition.single_bag(g.vertices)]
+            tds += [td for _, td in lean_step_trace(g, k, seps=seps)]
+            lean = tds[-1]
+            tds += [lean.contract_tree_edge(*e) for e in sorted(lean.tree_edges)]
+            for td in tds:
+                want = _prefix_scan(td, k, every)
+                assert td.check_k_lean(g, k, table=every) == want
+                assert td.check_k_lean(g, k, table=table) == want
+                if want is not None:
+                    violations += 1
+                    across_nodes += want.s != want.t
+    assert violations > 100 and across_nodes > 10
