@@ -39,12 +39,12 @@ def leanness_table(seps):
     """Directed rows ``(order, A-mask, B-mask, separation, flipped)`` of
     the separations in S_k that can witness a leanness violation.
 
-    ``seps`` comes as ``enumerate_separations`` returns it: canonical,
-    ascending by ``Separation.sort_key``.  The masks are the
-    separation's own, read without building a vertex set.  A separation
-    with an empty exclusive side, (V, X) or (V, V), gets no rows: its
-    thin side is X itself, and a witness needs p > |X| of its vertices
-    on each side.  Each remaining separation's row is followed by its
+    ``seps`` comes as ``enumerate_separations`` returns it: the proper
+    members of S_k, canonical, ascending by ``Separation.sort_key``.
+    Those are the only possible witnesses: the thin side of (V, X) or
+    (V, V) is X itself, and a witness needs p > |X| of a bag's vertices
+    on each side.  The masks are the separation's own, read without
+    building a vertex set.  Each separation's row is followed by its
     flip's, so the rows ascend by (order, sort_key) and
     ``TreeDecomposition.check_k_lean`` can stop at its first match.  A
     flip's row holds the canonical separation with ``flipped`` set; only
@@ -53,8 +53,6 @@ def leanness_table(seps):
     rows = []
     for s in seps:
         am, bm = s.mask_a, s.mask_b
-        if not am & ~bm or not bm & ~am:
-            continue
         order = (am & bm).bit_count()
         rows.append((order, am, bm, s, False))
         rows.append((order, bm, am, s, True))
@@ -290,39 +288,39 @@ class TreeDecomposition:
 
     # -- leanness ------------------------------------------------------
 
-    def _path_minima(self):
-        """{s: {t: minimum edge order on the s-t tree path}}, one DFS per
-        node; a node's path to itself has no edge and minimum infinity."""
-        order = {e: self.edge_order(*e) for e in self.tree_edges}
-        out = {}
-        for s in self.nodes:
-            low = {s: float("inf")}
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in self._neighbors[x]:
-                    if y not in low:
-                        low[y] = min(low[x], order[(min(x, y), max(x, y))])
-                        stack.append(y)
-            if len(low) != len(self.nodes):
-                raise ValueError("nodes in different trees")
-            out[s] = low
-        return out
+    def _path_minima_from(self, s, order):
+        """{t: minimum edge order on the s-t tree path}, one DFS from s,
+        with ``order`` the order of each tree edge; the path from s to
+        itself has no edge and minimum infinity."""
+        low = {s: float("inf")}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in self._neighbors[x]:
+                if y not in low:
+                    low[y] = min(low[x], order[(min(x, y), max(x, y))])
+                    stack.append(y)
+        if len(low) != len(self.nodes):
+            raise ValueError("nodes in different trees")
+        return low
 
     def check_k_lean(self, g, k, budget=DEFAULT_BUDGET, *, table=None):
         """None iff k-lean; else the first violation in canonical order.
 
         Order: smallest p, then lexicographic (s, t), then the witness of
         minimum order with canonically smallest sides.  Requires
-        adhesion < k.
+        adhesion < k, and raises ``ValueError`` when the tree is not
+        connected.
 
         ``table`` is ``leanness_table(enumerate_separations(g, k))``; a
         caller that checks many decompositions of one graph builds it
-        once, and without it the check builds its own.  The table's rows
-        ascend by (order, sort_key), each separation just before its
-        flip, which shares its key.  So for each (p, s, t) the first row
-        of order < p with |A ∩ V_s| >= p and |B ∩ V_t| >= p is the
-        minimum witness.
+        once, and without it the check builds its own.  It holds both
+        directions of every proper separation of order < k; the
+        degenerate ones, (V, X) and (V, V), cannot be witnesses (see
+        ``leanness_table``).  The table's rows ascend by (order,
+        sort_key), each separation just before its flip, which shares
+        its key.  So for each (p, s, t) the first row of order < p with
+        |A ∩ V_s| >= p and |B ∩ V_t| >= p is the minimum witness.
 
         Level p scans only the rows of order exactly p - 1.  Suppose a
         row of order o < p - 1 qualified at (p, s, t).  Then it would
@@ -332,14 +330,21 @@ class TreeDecomposition:
         order < p - 1 qualifies there, and the first match among the
         rows of order p - 1 is the first match among all rows of order
         < p.
+
+        The path minima from a node s are computed, by one DFS, only
+        once some row has p vertices of V_s on its A side.
         """
-        if self.adhesion() >= k:
-            raise ValueError("adhesion %d >= k=%d" % (self.adhesion(), k))
+        order = {
+            (s, t): len(self.bags[s] & self.bags[t]) for s, t in self.tree_edges
+        }
+        adhesion = max(order.values(), default=0)
+        if adhesion >= k:
+            raise ValueError("adhesion %d >= k=%d" % (adhesion, k))
         if table is None:
             table = leanness_table(enumerate_separations(g, k, budget=budget))
         bag_masks = {node: mask_of(bag) for node, bag in self.bags.items()}
         ordered_nodes = sorted(self.nodes)
-        path_min = self._path_minima()
+        path_min = {}
         order_of = itemgetter(0)
         for p in range(1, k + 1):
             rows = table[
@@ -355,6 +360,8 @@ class TreeDecomposition:
                 ]
                 if not from_s:
                     continue
+                if s_node not in path_min:
+                    path_min[s_node] = self._path_minima_from(s_node, order)
                 reach = path_min[s_node]
                 for t_node in ordered_nodes:
                     if reach[t_node] < p:
@@ -365,6 +372,8 @@ class TreeDecomposition:
                             if flipped:
                                 sep = sep.flip()
                             return LeannessViolation(s_node, t_node, p, sep)
+        if not path_min and ordered_nodes:  # no DFS ran: still reject a forest
+            self._path_minima_from(ordered_nodes[0], order)
         return None
 
     # -- home nodes ----------------------------------------------------

@@ -83,23 +83,20 @@ def improvement_step(g, td, viol):
     path_a_masks = {v: mask_of(paths_a[v]) for v in x}
 
     offset = max(td.nodes) + 1
-    nodes = set()
     bags = {}
-    edges = set()
+    neigh = {}
     for u in td.nodes:
         bag_m = mask_of(td.bags[u])
         bag_a = (td.bags[u] & a) | {v for v in x if bag_m & path_b_masks[v]}
         bag_b = (td.bags[u] & b) | {v for v in x if bag_m & path_a_masks[v]}
-        nodes.add(u)
-        nodes.add(u + offset)
         bags[u] = frozenset(bag_a)
         bags[u + offset] = frozenset(bag_b)
-    for s, t in td.tree_edges:
-        edges.add((s, t))
-        edges.add((s + offset, t + offset))
-    edges.add(tuple(sorted((viol.t, viol.s + offset))))
+        neigh[u] = set(td.neighbors(u))
+        neigh[u + offset] = {w + offset for w in td.neighbors(u)}
+    neigh[viol.t].add(viol.s + offset)
+    neigh[viol.s + offset].add(viol.t)
 
-    new_td = _prune(TreeDecomposition(nodes, edges, bags))
+    new_td = _prune(bags, neigh)
     old_fat = td.fatness(g.n)
     new_fat = new_td.fatness(g.n)
     if not new_fat < old_fat:
@@ -109,11 +106,12 @@ def improvement_step(g, td, viol):
     return new_td
 
 
-def _prune(td):
-    """Drop empty bags and bags contained in a neighboring bag."""
-    nodes = set(td.nodes)
-    bags = dict(td.bags)
-    neigh = {u: set(td.neighbors(u)) for u in td.nodes}
+def _prune(bags, neigh):
+    """Drop empty bags and bags contained in a neighboring bag from the
+    tree given by ``bags`` and ``neigh`` (node -> set of neighbors),
+    and return what is left as a TreeDecomposition.  Both dicts are
+    consumed."""
+    nodes = set(bags)
     changed = True
     while changed:
         changed = False

@@ -493,9 +493,16 @@ def model_orientation(g, k, x):
 
 
 def orientations_agree(g, k, o1, o2, budget=DEFAULT_BUDGET, *, seps=None):
-    """True iff o1 and o2 direct every order-< k separation the same way.
+    """True iff o1 and o2 direct every proper separation of order < k
+    the same way.
 
-    ``seps`` is S_k(g) from a caller that already enumerated it.
+    ``seps`` is ``enumerate_separations(g, k)`` from a caller that
+    already holds it.  The degenerate members of S_k, (V, X) with
+    |X| < k, are left out: a block orientation (the block has at least
+    k vertices, so one lies outside X) and the orientation of a K_m
+    model with m >= k (at least k disjoint branch sets, so one avoids
+    X) both answer V on each of them.  For such a pair the answer holds
+    over all of S_k.
     """
     if seps is None:
         seps = enumerate_separations(g, k, budget=budget)
@@ -558,6 +565,8 @@ def extract_subdivision(g, k, m, b, x, b0, budget=DEFAULT_BUDGET, *, seps=None):
         raise PreconditionFailed(
             "parameters too small for %d branch vertices" % r
         )
+    if m < k:
+        raise PreconditionFailed("a K_%d model does not orient S_%d" % (m, k))
     budget = Budget.of(budget)
     o_b = BlockOrientation(g, k, b)
     o_x = ModelOrientation(g, k, x)

@@ -29,7 +29,11 @@ from .obstructions import (
     find_z_based_model,
     refutes_clique_minor,
 )
-from .separations import enumerate_separations, is_tight
+from .separations import (
+    degenerate_separations,
+    enumerate_separations,
+    is_tight,
+)
 
 
 def _supported_branch_count(k, m):
@@ -58,6 +62,13 @@ class Parameters:
 
     @staticmethod
     def generalized_km(k, m):
+        if m < k:
+            # m disjoint branch sets all meet some separator of m < k
+            # vertices, so a K_m model orients no such S_k
+            raise ValueError(
+                "(k=%d, m=%d): need m >= k, or a K_m model does not orient S_k"
+                % (k, m)
+            )
         r = _supported_branch_count(k, m)
         if r is None:
             raise ValueError(
@@ -95,11 +106,13 @@ class StructureResult:
 
 
 def distinguishing_order(g, o1, o2, budget=DEFAULT_BUDGET):
-    """Minimum order of a separation the two orientations direct apart."""
+    """Minimum order of a separation the two orientations direct apart,
+    over all of S_k: the proper members and the degenerate ones."""
     if o1.k != o2.k:
         raise ValueError("orientations live on different S_k")
     best = None
-    for s in enumerate_separations(g, o1.k, budget=budget):
+    seps = enumerate_separations(g, o1.k, budget=budget)
+    for s in seps + degenerate_separations(g, o1.k):
         if o1.w_side(s) != o2.w_side(s):
             if best is None or s.order < best:
                 best = s.order

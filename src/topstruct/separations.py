@@ -163,7 +163,9 @@ def min_vertex_cut(g, u, v):
 
 
 def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
-    """Every separation of order < max_order, canonically, each pair once.
+    """The proper members of S_k, k = max_order: every separation of
+    order < k with both exclusive sides non-empty, canonically, each
+    pair once.
 
     Iterates over candidate separators and 2-colorings of the remaining
     components; intended for oracle scale only.  A coloring and its
@@ -173,12 +175,30 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
     of them is canonical and each unordered pair comes out once.  Each
     separation is built from its two masks, and the list is sorted by
     ``Separation.sort_key``, computed from the masks with ``_mask_key``.
+    Each candidate separator is charged ``1 << len(comps)`` to
+    ``budget``, whether or not it gives a separation.
+
+    The degenerate members, (V, X) for every X of fewer than k vertices
+    and (V, V) when n < k, are not built: a separator with fewer than
+    two components gives no proper separation, and of the others'
+    colorings the one that puts every component on side A is skipped.
+    ``degenerate_separations`` lists them.  No consumer in
+    ``pipeline.run_structure`` needs them:
+
+    - a leanness witness needs p > |X| vertices of a bag on its thin
+      side, which for (V, X) is X itself, so ``leanness_table`` would
+      give it no row;
+    - the k-block relation splits the pairs across the exclusive sides,
+      and (V, X) has an empty one;
+    - in ``obstructions.orientations_agree``, a k-block has at least k
+      vertices and a K_m model with m >= k has at least k disjoint
+      branch sets, so each has a vertex or a whole branch set outside X
+      when |X| < k, and both orientations answer V on every (V, X).
     """
     budget = Budget.of(budget)
     keyed = []
     verts = sorted(g.vertices)
     full = g.vertex_mask
-    full_key = _mask_key(full)  # every separator gives one row (V, X)
     for size in range(0, max_order):
         if size > g.n:
             break
@@ -187,8 +207,7 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
             rest = full & ~sep_m
             comps = g.component_masks(rest)
             budget.charge("separation enumeration", 1 << len(comps))
-            if not comps:  # the separator is all of V: (V, V)
-                keyed.append((size, full_key, full_key, sep_m, sep_m))
+            if len(comps) < 2:  # only (V, X), or (V, V) when X = V
                 continue
             low = rest & -rest
             unions = [0]  # unions of every subset of the other components
@@ -197,13 +216,26 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
                     unions += [u | c for u in unions]
             base_a = sep_m | next(c for c in comps if c & low)
             others = rest & ~base_a
+            unions.pop()  # the union of them all gives (V, X)
             for u in unions:
                 am, bm = base_a | u, sep_m | (others ^ u)
-                key_a = full_key if am == full else _mask_key(am)
-                keyed.append((size, key_a, _mask_key(bm), am, bm))
+                keyed.append((size, _mask_key(am), _mask_key(bm), am, bm))
     keyed.sort()
     of_masks = Separation._of_masks
     return [of_masks(am, bm) for _, _, _, am, bm in keyed]
+
+
+def degenerate_separations(g, max_order):
+    """The members of S_k that ``enumerate_separations`` leaves out:
+    (V, X) for every X of fewer than max_order vertices, with X = V
+    giving (V, V) when n < max_order; ascending by ``sort_key``."""
+    full = g.vertex_mask
+    verts = sorted(g.vertices)
+    return [
+        Separation._of_masks(full, mask_of(sep))
+        for size in range(min(max_order, g.n + 1))
+        for sep in itertools.combinations(verts, size)
+    ]
 
 
 # -- orientations ------------------------------------------------------
@@ -253,8 +285,11 @@ def orientation_is_consistent(g, orientation, budget=DEFAULT_BUDGET):
     """Exhaustive consistency check at oracle scale.
 
     Inconsistent means: two members (A,B), (C,D) with B ⊆ C and D ⊆ A.
+    Runs over all of S_k: the proper members and the degenerate ones.
     """
-    seps = enumerate_separations(g, orientation.k, budget=budget)
+    k = orientation.k
+    seps = enumerate_separations(g, k, budget=budget)
+    seps += degenerate_separations(g, k)
     members = []
     for s in seps:
         w = mask_of(orientation.w_side(s))

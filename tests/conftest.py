@@ -10,8 +10,9 @@ import random
 
 import pytest
 
+from topstruct.errors import DEFAULT_BUDGET
 from topstruct.graph import Graph, random_graph
-from topstruct.separations import enumerate_separations
+from topstruct.separations import Separation, enumerate_separations
 
 _acceptance_lines = []
 
@@ -66,6 +67,27 @@ def brute_menger(g, src, dst, allowed):
             if not brute_reachable(g, src, outside | set(s)) & dst:
                 return size
     raise AssertionError("unreachable")
+
+
+def degenerate_members(g, k):
+    """The members of S_k with an empty exclusive side: (V, X) for every
+    X ⊆ V of fewer than k vertices, X = V included when n < k; by subset
+    enumeration, ascending by sort_key."""
+    verts = sorted(g.vertices)
+    return [
+        Separation(verts, x)
+        for size in range(min(k, len(verts) + 1))
+        for x in itertools.combinations(verts, size)
+    ]
+
+
+def full_s_k(g, k, budget=DEFAULT_BUDGET):
+    """All of S_k: the proper members ``enumerate_separations`` returns
+    and the degenerate ones, ascending by sort_key."""
+    return sorted(
+        enumerate_separations(g, k, budget=budget) + degenerate_members(g, k),
+        key=Separation.sort_key,
+    )
 
 
 def brute_set_split(g, bset, k):

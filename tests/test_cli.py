@@ -9,6 +9,7 @@ from topstruct.cli import main
 from topstruct.decomposition import load_td, renumbered
 from topstruct.errors import InvariantViolation
 from topstruct.graph import (
+    Graph,
     complete_graph,
     grid_graph,
     path_graph,
@@ -144,6 +145,20 @@ def test_exit_codes(tmp_path, capsys):
     # n mismatch between files -> 64
     other = _write(tmp_path, "p5.gr", path_graph(5))
     assert main(["verify", other, td_path, "--k", "2", "--m", "4"]) == 64
+
+
+def test_m_below_k_is_a_usage_error(tmp_path, capsys):
+    # a K_3 model does not orient S_4, so (k, m) = (4, 3) is refused
+    # before any run; this graph used to reach the subdivision exit and
+    # fail inside it
+    g = Graph.from_edges(8, [
+        (1, 2), (1, 3), (1, 5), (1, 7), (2, 3), (2, 7), (3, 5), (3, 7),
+        (4, 7), (4, 8), (5, 6), (5, 7), (6, 7), (7, 8),
+    ])
+    gr = _write(tmp_path, "g.gr", g)
+    assert main(["decompose", "--k", "4", "--m", "3", gr]) == 64
+    assert "m >= k" in capsys.readouterr().err
+    assert main(["decompose", "--k", "4", "--m", "4", gr]) == 0
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import small_corpus
+from conftest import degenerate_members, full_s_k, small_corpus
 
 from topstruct.decomposition import (
     LeannessViolation,
@@ -19,6 +19,7 @@ from topstruct.graph import (
     path_graph,
     petersen_graph,
     random_graph,
+    set_of,
 )
 from topstruct.lean import (
     _minimize_witness,
@@ -230,10 +231,10 @@ def test_cached_separations_match_per_step_enumeration():
 def _reference_violation(g, td, k):
     """The leanness check read off its definition: for every (p, s, t)
     whose tree path has no edge of order < p, scan both directions of
-    every separation of order < p and keep the least (order, sort_key)
-    witness; the first (p, s, t) with a witness wins."""
+    every separation of order < p in all of S_k and keep the least
+    (order, sort_key) witness; the first (p, s, t) with a witness wins."""
     directed = []
-    for sep in enumerate_separations(g, k):
+    for sep in full_s_k(g, k):
         directed.append(sep)
         if sep.side_a != sep.side_b:
             directed.append(sep.flip())
@@ -283,19 +284,20 @@ def test_check_k_lean_matches_definition():
 
 
 def test_leanness_table_holds_both_directions_of_proper_separations():
-    """The table drops exactly the separations with an empty exclusive
-    side, (V, X) and (V, V), and keeps both directions of every other
-    one, ascending by (order, sort_key), each just before its flip."""
+    """S_k comes without the separations with an empty exclusive side,
+    (V, X) and (V, V), and the table keeps both directions of every
+    other one, ascending by (order, sort_key), each just before its
+    flip."""
     dropped = 0
     for k in (2, 3, 4):
         for g in small_corpus(60 + k, 30, 9):
             seps = enumerate_separations(g, k)
             rows = leanness_table(seps)
+            dropped += len(degenerate_members(g, k))
             want = []
             for sep in seps:
-                if sep.side_a <= sep.side_b or sep.side_b <= sep.side_a:
-                    dropped += 1
-                    continue
+                assert not sep.side_a <= sep.side_b
+                assert not sep.side_b <= sep.side_a
                 want += [sep, sep.flip()]
             got = []
             for order, am, bm, sep, flipped in rows:
@@ -344,15 +346,17 @@ def _prefix_scan(td, k, rows):
 
 
 def test_check_k_lean_needs_no_degenerate_row_and_no_lower_order():
-    """The filtered table and the order-(p - 1) slice give the violation
-    of a scan over every directed row of order < p, on every
-    decomposition the lean builder visits and on the lean result with
-    one tree edge contracted (where s and t differ)."""
+    """The table of the proper separations and the order-(p - 1) slice
+    give the violation of a scan over every directed row of order < p
+    in all of S_k, on every decomposition the lean builder visits and on
+    the lean result with one tree edge contracted (where s and t
+    differ)."""
     violations = across_nodes = 0
     for k in (2, 3, 4):
         for g in small_corpus(80 + k, 25, 9):
             seps = enumerate_separations(g, k)
-            table, every = leanness_table(seps), _every_directed_row(seps)
+            table = leanness_table(seps)
+            every = _every_directed_row(full_s_k(g, k))
             tds = [TreeDecomposition.single_bag(g.vertices)]
             tds += [td for _, td in lean_step_trace(g, k, seps=seps)]
             lean = tds[-1]
@@ -365,3 +369,49 @@ def test_check_k_lean_needs_no_degenerate_row_and_no_lower_order():
                     violations += 1
                     across_nodes += want.s != want.t
     assert violations > 100 and across_nodes > 10
+
+
+def test_check_k_lean_rejects_a_forest():
+    # at k = 1 the connected P4 has no separation of order 0, so no
+    # path minimum is needed; at k = 2 ({1, 2}, {2, 3, 4}) starts a
+    # witness at node 1, which needs them
+    g = path_graph(4)
+    forest = TreeDecomposition({1, 2}, set(), {1: {1, 2}, 2: {3, 4}})
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="different trees"):
+            forest.check_k_lean(g, k)
+
+
+def test_check_k_lean_walks_the_tree_only_from_candidate_nodes(monkeypatch):
+    """The check walks the tree once from each node s it reaches, in
+    (p, s) order, for which some row of order p - 1 has p vertices of
+    V_s on its A side; from the lowest node when there is none, which
+    still rejects a forest."""
+    walks = []
+    real = TreeDecomposition._path_minima_from
+
+    def counting(self, s, order):
+        walks.append(s)
+        return real(self, s, order)
+
+    monkeypatch.setattr(TreeDecomposition, "_path_minima_from", counting)
+    skipped = 0
+    for k in (2, 3, 4):
+        for g in small_corpus(90 + k, 20, 9):
+            seps = enumerate_separations(g, k)
+            table = leanness_table(seps)
+            tds = [TreeDecomposition.single_bag(g.vertices)]
+            tds += [td for _, td in lean_step_trace(g, k, seps=seps)]
+            for td in tds:
+                walks.clear()
+                viol = td.check_k_lean(g, k, table=table)
+                last = (k, max(td.nodes)) if viol is None else (viol.p, viol.s)
+                want = {
+                    s
+                    for s, bag in td.bags.items()
+                    for order, am, _, _, _ in table
+                    if (order + 1, s) <= last and len(set_of(am) & bag) > order
+                } or {min(td.nodes)}
+                assert sorted(walks) == sorted(want)
+                skipped += len(td.nodes) - len(walks)
+    assert skipped > 20

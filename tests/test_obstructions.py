@@ -467,6 +467,11 @@ def test_extract_precondition_errors():
     small_block = Block(frozenset({1, 2, 3}), 3)
     with pytest.raises(PreconditionFailed):
         extract_subdivision(g, 3, 6, small_block, mod, (4, 5))
+    # a K_3 model does not orient S_4: some 3-vertex separator meets
+    # every branch set
+    k6 = find_k_blocks(g, 4)[0]
+    with pytest.raises(PreconditionFailed, match="does not orient"):
+        extract_subdivision(g, 4, 3, k6, find_clique_model(g, 3), (1, 2))
 
 
 def test_extract_agreement_dichotomy():

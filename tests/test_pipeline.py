@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from conftest import planar_3_tree, small_corpus, surplus_refutes
+from conftest import full_s_k, planar_3_tree, small_corpus, surplus_refutes
 
 from topstruct import obstructions, pipeline
-from topstruct.decomposition import TreeDecomposition
+from topstruct.decomposition import TreeDecomposition, write_td
 from topstruct.errors import (
     BichromaticComponent,
     Budget,
@@ -32,6 +32,7 @@ from topstruct.obstructions import (
     find_k_blocks,
     model_orientation,
     refutes_clique_minor,
+    serialize_subdivision,
 )
 from topstruct.pipeline import (
     Parameters,
@@ -66,6 +67,15 @@ def test_parameters():
     assert Parameters.generalized_km(6, 10).r == 2
     with pytest.raises(ValueError):
         Parameters.generalized_km(1, 6)
+
+
+def test_parameters_need_m_at_least_k():
+    # m disjoint branch sets all meet some separator of m < k vertices,
+    # so a K_m model would orient no such S_k
+    with pytest.raises(ValueError, match="m >= k"):
+        Parameters.generalized_km(4, 3)
+    assert Parameters.generalized_km(4, 4).m == 4
+    assert Parameters.generalized_km(3, 6).m == 6
 
 
 def test_distinguishing_order_cut_vertex():
@@ -372,3 +382,34 @@ def test_grids_refuted_without_model_search(monkeypatch, name):
     assert calls == []
     assert result.variant == "decomposition" and not result.model_nodes
     assert verify_theorem(g, params, result).passed
+
+
+def _structure_outcome(g, params):
+    """Report lines and output bytes of a run, or its exception type."""
+    try:
+        res = run_structure(g, params)
+    except Exception as exc:
+        return type(exc)
+    if res.variant == "subdivision":
+        out = serialize_subdivision(res.subdivision)
+    else:
+        out = write_td(res.decomposition, g.n, res.coloring.color)
+    return res.variant, res.report, out
+
+
+def test_run_structure_needs_no_degenerate_separation(monkeypatch):
+    """Given all of S_k, degenerate (V, X) members included, the run
+    gives the same report and bytes, or raises the same exception, as
+    with the proper members alone."""
+    seen = {"subdivision": 0, "decomposition": 0}
+    graphs = small_corpus(101, 100, 9, min_n=2)
+    for k, m in ((2, 4), (3, 5), (3, 6), (4, 4)):
+        params = Parameters.generalized_km(k, m)
+        for g in graphs:
+            want = _structure_outcome(g, params)
+            with monkeypatch.context() as patch:
+                patch.setattr(pipeline, "enumerate_separations", full_s_k)
+                assert _structure_outcome(g, params) == want
+            if not isinstance(want, type):
+                seen[want[0]] += 1
+    assert seen["subdivision"] > 20 and seen["decomposition"] > 100

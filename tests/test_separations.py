@@ -3,10 +3,16 @@ import random
 
 import pytest
 
-from conftest import brute_min_vertex_cut, small_corpus
+from conftest import (
+    brute_min_vertex_cut,
+    degenerate_members,
+    full_s_k,
+    small_corpus,
+)
 
 from topstruct.errors import (
     AdjacentPair,
+    Budget,
     BudgetExceeded,
     SeparationDoesNotDecide,
 )
@@ -21,6 +27,7 @@ from topstruct.graph import (
 from topstruct.separations import (
     ExplicitOrientation,
     Separation,
+    degenerate_separations,
     enumerate_separations,
     is_separation,
     is_tight,
@@ -111,22 +118,30 @@ def _brute_separations(g, k):
     return expected
 
 
+def _has_empty_exclusive_side(s):
+    return s.side_a <= s.side_b or s.side_b <= s.side_a
+
+
 def test_enumerate_separations_complete_against_brute_force():
+    # the returned members and the degenerate ones make up S_k
     rng = random.Random(23)
     for _ in range(25):
         n = rng.randint(1, 6)
         g = random_graph(n, rng.choice([0.3, 0.6]), rng)
         k = rng.randint(1, 3)
+        seps = enumerate_separations(g, k)
+        assert not any(_has_empty_exclusive_side(s) for s in seps)
         got = {
             (s.side_a, s.side_b)
-            for s in enumerate_separations(g, k)
+            for s in seps + degenerate_members(g, k)
         }
         assert got == _brute_separations(g, k)
 
 
 def test_enumeration_contract():
     """What the leanness table relies on: canonical elements, each once,
-    in sort_key order; and, as a set, exactly S_k."""
+    in sort_key order, none with an empty exclusive side; and, with the
+    degenerate members added, exactly S_k."""
     rng = random.Random(31)
     for _ in range(40):
         n = rng.randint(0, 7)
@@ -136,7 +151,32 @@ def test_enumeration_contract():
         assert all(s.canonical() == s for s in seps)
         assert len(set(seps)) == len(seps)
         assert seps == sorted(seps, key=Separation.sort_key)
-        assert {(s.side_a, s.side_b) for s in seps} == _brute_separations(g, k)
+        assert not any(_has_empty_exclusive_side(s) for s in seps)
+        every = seps + degenerate_members(g, k)
+        assert {(s.side_a, s.side_b) for s in every} == _brute_separations(g, k)
+
+
+def test_degenerate_separations():
+    # the library's list of the members the enumerator leaves out
+    for g in small_corpus(37, 30, 7, min_n=0):
+        for k in range(1, 5):
+            want = degenerate_members(g, k)
+            assert degenerate_separations(g, k) == want
+            assert want == sorted(want, key=Separation.sort_key)
+
+
+def test_enumeration_charges_every_candidate_separator():
+    # 2^(components of G - X) per separator X, degenerate or not
+    for g in small_corpus(39, 20, 7, min_n=0):
+        for k in range(1, 5):
+            want = 0
+            for size in range(min(k, g.n + 1)):
+                for x in itertools.combinations(sorted(g.vertices), size):
+                    rest = set(g.vertices) - set(x)
+                    want += 1 << len(g.components(rest))
+            meter = Budget(want)
+            enumerate_separations(g, k, budget=meter)
+            assert meter.spent == want
 
 
 def _vertex_tuple(mask):
@@ -237,7 +277,7 @@ def test_explicit_orientation():
 def test_orientation_consistency():
     # triangle, k=2: always choosing the full side is consistent
     g = complete_graph(3)
-    seps = enumerate_separations(g, 2)
+    seps = full_s_k(g, 2)
     full = ExplicitOrientation.from_w_sides(
         2, [(s, max((s.side_a, s.side_b), key=len)) for s in seps]
     )
@@ -245,7 +285,7 @@ def test_orientation_consistency():
 
     # P3: pointing one separation left and a nested one right crosses
     g = path_graph(3)
-    seps = enumerate_separations(g, 2)
+    seps = full_s_k(g, 2)
     pairs = []
     for s in seps:
         c = s.canonical()
