@@ -18,16 +18,16 @@ from .graph import Graph, load_gr, parse_gr, write_gr
 from .lean import build_k_atomic_exact, build_k_lean, improvement_step
 from .obstructions import (
     Block,
+    BlockOrientation,
     Model,
+    ModelOrientation,
     SubdivisionEmbedding,
-    block_orientation,
     check_rs_lemma,
     extract_subdivision,
     find_clique_model,
     find_k_blocks,
     find_subdivision,
     find_z_based_model,
-    model_orientation,
 )
 from .pipeline import (
     Coloring,
@@ -55,17 +55,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Block",
+    "BlockOrientation",
     "Coloring",
     "Graph",
     "LeannessViolation",
     "Model",
+    "ModelOrientation",
     "Orientation",
     "Parameters",
     "Separation",
     "StructureResult",
     "SubdivisionEmbedding",
     "TreeDecomposition",
-    "block_orientation",
     "build_k_atomic_exact",
     "build_k_lean",
     "check_join_lemma",
@@ -87,7 +88,6 @@ __all__ = [
     "load_td",
     "min_vertex_cut",
     "minor_oracle",
-    "model_orientation",
     "orientation_is_consistent",
     "parse_gr",
     "parse_td",

@@ -39,7 +39,7 @@ def _params_from_args(args):
     return Parameters.generalized_km(args.k, args.m)
 
 
-def write_dot(td, n, coloring=None):
+def write_dot(td, coloring=None):
     """DOT rendering: filled red/blue nodes, edges labeled by separator size."""
     colors = coloring.color if coloring is not None else {}
     fills = {"red": "lightcoral", "blue": "lightblue"}
@@ -83,7 +83,7 @@ def cmd_decompose(args):
         if args.format == "dot":
             td, cmap = renumbered(result.decomposition, colors)
             with open(base + ".dot", "w") as fh:
-                fh.write(write_dot(td, g.n, Coloring(cmap, frozenset())))
+                fh.write(write_dot(td, Coloring(cmap, frozenset())))
         else:
             with open(base + ".td", "w") as fh:
                 fh.write(write_td(result.decomposition, g.n, colors))

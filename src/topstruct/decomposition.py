@@ -2,7 +2,7 @@
 fatness, leanness checking, home nodes, and the .td text format.
 
 Instances are immutable after construction; contraction returns a new
-value and records provenance for the fresh node id.
+value.  Every walk of the tree is one ``TreeDecomposition.reach``.
 """
 
 import itertools
@@ -60,13 +60,12 @@ def leanness_table(seps):
 
 
 class TreeDecomposition:
-    def __init__(self, nodes, tree_edges, bags, provenance=None):
+    def __init__(self, nodes, tree_edges, bags):
         self.nodes = frozenset(nodes)
         self.tree_edges = frozenset(
             (min(s, t), max(s, t)) for s, t in tree_edges
         )
         self.bags = {node: frozenset(bag) for node, bag in bags.items()}
-        self.provenance = dict(provenance) if provenance else {}
         if set(self.bags) != set(self.nodes):
             raise ValueError("bags and nodes out of sync")
         self._neighbors = {node: set() for node in self.nodes}
@@ -108,48 +107,41 @@ class TreeDecomposition:
         if not self.has_tree_edge(s, t):
             raise NotAnEdge("(%s,%s) is not a tree edge" % (s, t))
 
+    def reach(self, start, within=None, cut=()):
+        """{node: parent} of the nodes reachable from ``start``, in
+        breadth-first visit order, with ``start`` mapped to None.
+
+        The walk never leaves ``within`` (all nodes when None) and never
+        crosses a tree edge listed in ``cut`` as a ``(min, max)`` pair.
+        """
+        allowed = self.nodes if within is None else within
+        parent = {start: None}
+        queue = [start]
+        for x in queue:
+            for y in self._neighbors[x]:
+                if y in parent or y not in allowed:
+                    continue
+                if cut and (min(x, y), max(x, y)) in cut:
+                    continue
+                parent[y] = x
+                queue.append(y)
+        return parent
+
     def is_tree(self):
-        if not self.nodes:
-            return False
-        if len(self.tree_edges) != len(self.nodes) - 1:
-            return False
-        seen = set()
-        stack = [next(iter(sorted(self.nodes)))]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(self._neighbors[x])
-        return seen == self.nodes
+        return (
+            bool(self.nodes)
+            and len(self.tree_edges) == len(self.nodes) - 1
+            and len(self.reach(min(self.nodes))) == len(self.nodes)
+        )
 
     def side_nodes(self, s, t):
         """Nodes on s's side of the tree edge st (s included, t excluded)."""
         self._require_edge(s, t)
-        seen = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in self._neighbors[x]:
-                if y != t and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
+        return set(self.reach(s, within=self.nodes - {t}))
 
     def tree_path(self, s, t):
         """Node sequence of the unique s-t path in the tree."""
-        parent = {s: None}
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            if x == t:
-                break
-            for y in sorted(self._neighbors[x]):
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
+        parent = self.reach(s)
         if t not in parent:
             raise ValueError("nodes in different trees")
         path = [t]
@@ -201,16 +193,7 @@ class TreeDecomposition:
             holders = {node for node, bag in self.bags.items() if v in bag}
             if not holders:
                 return False
-            # connectivity of the holder set in the tree
-            seen = set()
-            stack = [next(iter(holders))]
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                stack.extend(self._neighbors[x] & holders)
-            if seen != holders:
+            if len(self.reach(min(holders), within=holders)) != len(holders):
                 return False
         for u, v in g.edges:
             if not any(u in bag and v in bag for bag in self.bags.values()):
@@ -228,15 +211,7 @@ class TreeDecomposition:
         node_set = set(node_set)
         if not node_set or not node_set <= self.nodes:
             raise NotASubtree("nodes not in decomposition")
-        seen = set()
-        stack = [next(iter(node_set))]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(self._neighbors[x] & node_set)
-        if seen != node_set:
+        if len(self.reach(min(node_set), within=node_set)) != len(node_set):
             raise NotASubtree("node set is not connected in the tree")
         verts = frozenset().union(*(self.bags[x] for x in node_set))
         extra = set()
@@ -260,7 +235,7 @@ class TreeDecomposition:
     # -- contraction ---------------------------------------------------
 
     def contract_tree_edge(self, s, t):
-        """Contract st; the merged node gets a fresh id with provenance."""
+        """Contract st; the merged node gets a fresh id."""
         self._require_edge(s, t)
         new = max(self.nodes) + 1
         nodes = (self.nodes - {s, t}) | {new}
@@ -273,9 +248,7 @@ class TreeDecomposition:
             edges.add((min(a2, b2), max(a2, b2)))
         bags = {n: self.bags[n] for n in self.nodes - {s, t}}
         bags[new] = self.bags[s] | self.bags[t]
-        prov = dict(self.provenance)
-        prov[new] = (s, t)
-        return TreeDecomposition(nodes, edges, bags, prov)
+        return TreeDecomposition(nodes, edges, bags)
 
     # -- fatness -------------------------------------------------------
 
@@ -289,19 +262,16 @@ class TreeDecomposition:
     # -- leanness ------------------------------------------------------
 
     def _path_minima_from(self, s, order):
-        """{t: minimum edge order on the s-t tree path}, one DFS from s,
-        with ``order`` the order of each tree edge; the path from s to
-        itself has no edge and minimum infinity."""
-        low = {s: float("inf")}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in self._neighbors[x]:
-                if y not in low:
-                    low[y] = min(low[x], order[(min(x, y), max(x, y))])
-                    stack.append(y)
-        if len(low) != len(self.nodes):
+        """{t: minimum edge order on the s-t tree path}, read in the visit
+        order of one ``reach`` from s, with ``order`` the order of each
+        tree edge; the path from s to itself has no edge and minimum
+        infinity."""
+        parent = self.reach(s)
+        if len(parent) != len(self.nodes):
             raise ValueError("nodes in different trees")
+        low = {s: float("inf")}
+        for y, x in itertools.islice(parent.items(), 1, None):
+            low[y] = min(low[x], order[(min(x, y), max(x, y))])
         return low
 
     def check_k_lean(self, g, k, budget=DEFAULT_BUDGET, *, table=None):
@@ -331,8 +301,8 @@ class TreeDecomposition:
         rows of order p - 1 is the first match among all rows of order
         < p.
 
-        The path minima from a node s are computed, by one DFS, only
-        once some row has p vertices of V_s on its A side.
+        The path minima from a node s are computed, by one ``reach``
+        from s, only once some row has p vertices of V_s on its A side.
         """
         order = {
             (s, t): len(self.bags[s] & self.bags[t]) for s, t in self.tree_edges
@@ -372,7 +342,7 @@ class TreeDecomposition:
                             if flipped:
                                 sep = sep.flip()
                             return LeannessViolation(s_node, t_node, p, sep)
-        if not path_min and ordered_nodes:  # no DFS ran: still reject a forest
+        if not path_min and ordered_nodes:  # no walk ran: still reject a forest
             self._path_minima_from(ordered_nodes[0], order)
         return None
 

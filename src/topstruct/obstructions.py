@@ -334,7 +334,13 @@ def find_clique_model(g, m, budget=DEFAULT_BUDGET, require_meet=None):
 
 
 def find_z_based_model(g, z, budget=DEFAULT_BUDGET, require_meet=None):
-    """A K_{|z|} model with exactly one z-vertex per branch set, or None."""
+    """A K_{|z|} model with exactly one z-vertex per branch set, or None.
+
+    Raises ``ValueError`` naming the first vertex of z outside 1..n.
+    """
+    for v in z:
+        if not 1 <= v <= g.n:
+            raise ValueError("z vertex %d outside 1..%d" % (v, g.n))
     z = sorted(set(z))
     return _ModelSearch(
         g, len(z), budget, require_meet=require_meet, seeds=z
@@ -423,9 +429,8 @@ def _embed_pairs(g, branch, budget):
 class BlockOrientation(Orientation):
     """O_B: a separation is directed toward the side containing the block."""
 
-    def __init__(self, g, k, block):
+    def __init__(self, k, block):
         super().__init__(k)
-        self.g = g
         self.vertices = frozenset(
             block.vertices if isinstance(block, Block) else block
         )
@@ -450,9 +455,8 @@ class BlockOrientation(Orientation):
 class ModelOrientation(Orientation):
     """O_X: directed toward the side fully containing some branch set."""
 
-    def __init__(self, g, k, model):
+    def __init__(self, k, model):
         super().__init__(k)
-        self.g = g
         self.model = model
         self._masks = [mask_of(s) for s in model.branch_sets]
 
@@ -482,14 +486,6 @@ class ModelOrientation(Orientation):
                 "every branch set meets the separator"
             )
         return side
-
-
-def block_orientation(g, k, b):
-    return BlockOrientation(g, k, b)
-
-
-def model_orientation(g, k, x):
-    return ModelOrientation(g, k, x)
 
 
 def orientations_agree(g, k, o1, o2, budget=DEFAULT_BUDGET, *, seps=None):
@@ -531,8 +527,8 @@ def check_rs_lemma(g, z, x, budget=DEFAULT_BUDGET):
     if p == 0:
         return True
     gz = g.overlay_clique(z)
-    o_z = BlockOrientation(gz, p, z)
-    o_x = ModelOrientation(gz, p, x)
+    o_z = BlockOrientation(p, z)
+    o_x = ModelOrientation(p, x)
     return orientations_agree(gz, p, o_z, o_x, budget=budget)
 
 
@@ -568,8 +564,8 @@ def extract_subdivision(g, k, m, b, x, b0, budget=DEFAULT_BUDGET, *, seps=None):
     if m < k:
         raise PreconditionFailed("a K_%d model does not orient S_%d" % (m, k))
     budget = Budget.of(budget)
-    o_b = BlockOrientation(g, k, b)
-    o_x = ModelOrientation(g, k, x)
+    o_b = BlockOrientation(k, b)
+    o_x = ModelOrientation(k, x)
     if not orientations_agree(g, k, o_b, o_x, budget=budget, seps=seps):
         raise OrientationMismatch("block and model orient S_k differently")
 

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .lean import build_k_lean
 from .obstructions import (
-    block_orientation,
+    BlockOrientation,
     branch_count_fits,
     extract_subdivision,
     find_clique_model,
@@ -171,30 +171,12 @@ def color_nodes(td, f, block_homes, model_homes, default_blue=False):
     default), indicate an upstream invariant failure and raise.
     """
     f = {tuple(sorted(e)) for e in f}
-    comp_of = {}
-    for start in sorted(td.nodes):
-        if start in comp_of:
-            continue
-        comp = [start]
-        comp_of[start] = comp
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in td.neighbors(u):
-                e = (min(u, w), max(u, w))
-                if e in f or w in comp_of:
-                    continue
-                comp_of[w] = comp
-                comp.append(w)
-                stack.append(w)
     colors = {}
     defaulted = set()
-    seen = set()
     for start in sorted(td.nodes):
-        comp = comp_of[start]
-        if id(comp) in seen:
+        if start in colors:
             continue
-        seen.add(id(comp))
+        comp = td.reach(start, cut=f)
         has_block = any(t in block_homes for t in comp)
         has_model = any(t in model_homes for t in comp)
         if has_block and has_model:
@@ -303,7 +285,7 @@ def run_structure(g, params, budget=DEFAULT_BUDGET, default_blue=True):
     blocks = tuple(find_k_blocks(g, params.k, budget=budget, seps=seps))
     block_homes = {}
     for b in blocks:
-        home = td.home_node(block_orientation(g, params.k, b))
+        home = td.home_node(BlockOrientation(params.k, b))
         block_homes[home] = b
     report.append(
         "blocks: %d, home nodes %s" % (len(blocks), sorted(block_homes))

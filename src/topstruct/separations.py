@@ -33,10 +33,6 @@ class Separation:
         self.mask_a = mask_of(self._side_a)
         self.mask_b = mask_of(self._side_b)
 
-    @staticmethod
-    def of(a, b):
-        return Separation(a, b)
-
     @classmethod
     def _of_masks(cls, mask_a, mask_b):
         s = cls.__new__(cls)

@@ -165,6 +165,33 @@ def min_degree_width(g):
     return width
 
 
+def brute_closure(start, edges, within, cut=()):
+    """Nodes joined to ``start`` inside ``within`` by edges not in
+    ``cut``, grown by one round over the edge list per node."""
+    within = set(within)
+    cut = {frozenset(e) for e in cut}
+    pairs = [
+        frozenset(e) for e in edges
+        if set(e) <= within and frozenset(e) not in cut
+    ]
+    reached = {start}
+    for _ in range(len(within)):
+        reached |= {v for p in pairs if p & reached for v in p}
+    return reached
+
+
+def brute_is_tree(nodes, edges):
+    """True iff ``edges`` form a tree on ``nodes``: no loop, one distinct
+    edge fewer than nodes, and every node reached from the smallest."""
+    nodes = set(nodes)
+    pairs = {frozenset(e) for e in edges}
+    if not nodes or any(len(p) == 1 for p in pairs):
+        return False
+    if len(pairs) != len(nodes) - 1:
+        return False
+    return brute_closure(min(nodes), edges, nodes) == nodes
+
+
 def planar_3_tree(n, rng):
     """A random planar 3-tree on n ≥ 4 vertices: K_4, then each new
     vertex is stacked into a random triangular face."""

@@ -23,11 +23,11 @@ from topstruct.graph import (
 )
 from topstruct.lean import build_k_atomic_exact, build_k_lean
 from topstruct.obstructions import (
-    block_orientation,
+    BlockOrientation,
+    ModelOrientation,
     extract_subdivision,
     find_clique_model,
     find_k_blocks,
-    model_orientation,
 )
 from topstruct.pipeline import (
     Parameters,
@@ -143,13 +143,13 @@ def test_criterion_5_efficient_distinction():
             td = build_k_lean(g, k)
             block_homes = []
             for b in find_k_blocks(g, k):
-                o = block_orientation(g, k, frozenset(b.vertices))
+                o = BlockOrientation(k, frozenset(b.vertices))
                 block_homes.append((td.home_node(o), o))
             model_homes = []
             for t in sorted(td.nodes):
                 x = find_clique_model(g, m, require_meet=set(td.bags[t]))
                 if x is not None:
-                    model_homes.append((t, model_orientation(g, k, x)))
+                    model_homes.append((t, ModelOrientation(k, x)))
             for (tb, ob), (tx, ox) in itertools.product(
                 block_homes, model_homes
             ):

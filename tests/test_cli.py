@@ -11,6 +11,7 @@ from topstruct.errors import InvariantViolation
 from topstruct.graph import (
     Graph,
     complete_graph,
+    cycle_graph,
     grid_graph,
     path_graph,
     petersen_graph,
@@ -109,6 +110,16 @@ def test_find_commands(tmp_path, capsys):
     assert "bv " in capsys.readouterr().out
     assert main(["find", "--kind", "zmodel", "--z", "1,2,3", k5]) == 0
     assert "x 1: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("z", ["1,99", "0,1", "1,-2"])
+def test_find_zmodel_rejects_vertices_outside_the_graph(tmp_path, capsys, z):
+    c4 = _write(tmp_path, "c4.gr", cycle_graph(4))
+    assert main(["find", "--kind", "zmodel", "--z", z, c4]) == 64
+    bad = [v for v in map(int, z.split(",")) if not 1 <= v <= 4][0]
+    err = capsys.readouterr().err
+    assert "error: z vertex %d outside 1..4" % bad in err
+    assert not (tmp_path / "c4.witness.txt").exists()
 
 
 def _parse_model(text, m):

@@ -106,7 +106,6 @@ def test_contract_tree_edge():
     assert len(out.nodes) == 2
     fresh = max(out.nodes)
     assert out.bags[fresh] == {1, 2, 3}
-    assert out.provenance[fresh] == (1, 2)
     assert out.has_tree_edge(fresh, 3)
 
 

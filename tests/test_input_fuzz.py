@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_is_tree
+
 from topstruct.cli import main
 from topstruct.decomposition import parse_td
 from topstruct.errors import FormatError
@@ -112,16 +114,6 @@ def test_verify_rejects_bag_vertices_outside_range(tmp_path_factory, data):
     assert _verify(tmp_path_factory, n, bags, edges) == 64
 
 
-def _is_tree(nodes, edges):
-    pairs = {frozenset(e) for e in edges}
-    if any(len(p) == 1 for p in pairs) or len(pairs) != nodes - 1:
-        return False
-    reached = {1}
-    for _ in range(nodes):
-        reached |= {v for p in pairs if p & reached for v in p}
-    return len(reached) == nodes
-
-
 @CLI_FUZZ
 @given(st.data())
 def test_verify_rejects_a_non_tree(tmp_path_factory, data):
@@ -129,7 +121,7 @@ def test_verify_rejects_a_non_tree(tmp_path_factory, data):
     nodes = data.draw(st.integers(1, 4))
     node = st.integers(1, nodes)
     edges = data.draw(st.lists(st.tuples(node, node), max_size=6))
-    assume(not _is_tree(nodes, edges))
+    assume(not brute_is_tree(range(1, nodes + 1), edges))
     # node 1 holds all of P_n and every other node only vertex 1: on a
     # path of nodes this passes, so only the tree can be at fault
     bags = [list(range(1, n + 1))] + [[1]] * (nodes - 1)

@@ -72,10 +72,10 @@ def test_improvement_step_rejects_non_violation():
     g = path_graph(3)
     td = TreeDecomposition.single_bag([1, 2, 3])
     # p larger than what the sides hold
-    bogus = LeannessViolation(1, 1, 4, Separation.of({1, 2}, {2, 3}))
+    bogus = LeannessViolation(1, 1, 4, Separation({1, 2}, {2, 3}))
     with pytest.raises(NotAViolation):
         improvement_step(g, td, bogus)
-    wrong_node = LeannessViolation(5, 5, 2, Separation.of({1, 2}, {2, 3}))
+    wrong_node = LeannessViolation(5, 5, 2, Separation({1, 2}, {2, 3}))
     with pytest.raises(NotAViolation):
         improvement_step(g, td, wrong_node)
 
@@ -87,17 +87,17 @@ def test_improvement_step_rejects_thin_sides_and_non_separations():
     td = TreeDecomposition({1, 2}, {(1, 2)}, {1: {1, 2, 3}, 2: {3, 4, 5}})
     left, right = {1, 2, 3}, {3, 4, 5}
     for node, a, b in [(1, left, right), (1, right, left), (2, left, right)]:
-        viol = LeannessViolation(node, node, 2, Separation.of(a, b))
+        viol = LeannessViolation(node, node, 2, Separation(a, b))
         with pytest.raises(NotAViolation):
             improvement_step(g, td, viol)
     # on the single bag the sides are thick enough; the first pair is
     # crossed by the edge 34, the second leaves vertex 5 uncovered
     whole = TreeDecomposition.single_bag(range(1, 6))
     for p, a, b in [(1, {1, 2, 3}, {4, 5}), (2, {1, 2, 3}, {3, 4})]:
-        viol = LeannessViolation(1, 1, p, Separation.of(a, b))
+        viol = LeannessViolation(1, 1, p, Separation(a, b))
         with pytest.raises(NotAViolation):
             improvement_step(g, whole, viol)
-    viol = LeannessViolation(1, 1, 2, Separation.of(left, right))
+    viol = LeannessViolation(1, 1, 2, Separation(left, right))
     assert improvement_step(g, whole, viol).validate(g)
 
 
@@ -142,8 +142,8 @@ def test_improvement_step_shifts_a_non_minimum_witness(monkeypatch):
     monkeypatch.setattr("topstruct.lean._shift_side", spy)
     bag = bags[1]
     for witness in (
-        Separation.of({1, 2, 3, 4, 5, 6}, {5, 6, 7, 8, 9, 10}),
-        Separation.of({5, 6, 7, 8, 9, 10}, {1, 2, 3, 4, 5, 6}),
+        Separation({1, 2, 3, 4, 5, 6}, {5, 6, 7, 8, 9, 10}),
+        Separation({5, 6, 7, 8, 9, 10}, {1, 2, 3, 4, 5, 6}),
     ):
         viol = LeannessViolation(1, 1, 3, witness)
         shifts.clear()

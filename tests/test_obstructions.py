@@ -33,14 +33,14 @@ from topstruct.graph import (
 )
 from topstruct.obstructions import (
     Block,
-    block_orientation,
+    BlockOrientation,
+    ModelOrientation,
     check_rs_lemma,
     extract_subdivision,
     find_clique_model,
     find_k_blocks,
     find_subdivision,
     find_z_based_model,
-    model_orientation,
     orientations_agree,
     refutes_clique_minor,
     serialize_model,
@@ -271,6 +271,14 @@ def test_z_based_empty():
     assert m is not None and m.branch_sets == ()
 
 
+def test_z_based_rejects_vertices_outside_the_graph():
+    c4 = cycle_graph(4)
+    for z, bad in (([1, 99], 99), ([0, 1], 0), ([1, -2], -2), ([5, 0], 5)):
+        message = r"z vertex %d outside 1\.\.4" % bad
+        with pytest.raises(ValueError, match=message):
+            find_z_based_model(c4, z)
+
+
 # -- subdivisions --------------------------------------------------------
 
 
@@ -307,24 +315,24 @@ def test_block_orientation_directions():
     # the two edges are the 2-blocks; 1 and 3 are separated by vertex 2
     assert [sorted(b.vertices) for b in blocks] == [[1, 2], [2, 3]]
     b = blocks[0]
-    o = block_orientation(g, 2, b)
-    s = Separation.of({1, 2}, {2, 3})
+    o = BlockOrientation(2, b)
+    s = Separation({1, 2}, {2, 3})
     assert o.w_side(s) == s.side_a
     with pytest.raises(SeparationDoesNotDecide):
-        o.w_side(Separation.of({1, 2, 3}, {2, 3}))
+        o.w_side(Separation({1, 2, 3}, {2, 3}))
     split = Block(frozenset({1, 3}), 2)
     with pytest.raises(InvariantViolation):
-        block_orientation(g, 2, split).w_side(s)
+        BlockOrientation(2, split).w_side(s)
 
 
 def test_model_orientation_directions():
     g = path_graph(4)
     model = find_clique_model(g, 2, require_meet={3, 4})
-    o = model_orientation(g, 2, model)
-    s = Separation.of({1, 2}, {2, 3, 4})
+    o = ModelOrientation(2, model)
+    s = Separation({1, 2}, {2, 3, 4})
     assert o.w_side(s) == s.side_b
     with pytest.raises(SeparationDoesNotDecide):
-        o.w_side(Separation.of({1, 2, 3, 4}, {3, 4}))  # order 2 >= k
+        o.w_side(Separation({1, 2, 3, 4}, {3, 4}))  # order 2 >= k
 
 
 def test_induced_orientations_consistent():
@@ -334,11 +342,11 @@ def test_induced_orientations_consistent():
         g = random_graph(n, rng.choice([0.4, 0.7]), rng)
         k = 2
         for b in find_k_blocks(g, k):
-            assert orientation_is_consistent(g, block_orientation(g, k, b))
+            assert orientation_is_consistent(g, BlockOrientation(k, b))
         model = find_clique_model(g, 2 * k)
         if model is not None:
             assert orientation_is_consistent(
-                g, model_orientation(g, k, model)
+                g, ModelOrientation(k, model)
             )
 
 
@@ -488,8 +496,8 @@ def test_extract_agreement_dichotomy():
         if model is None or not blocks:
             continue
         for b in blocks:
-            o_b = block_orientation(g, k, b)
-            o_x = model_orientation(g, k, model)
+            o_b = BlockOrientation(k, b)
+            o_x = ModelOrientation(k, model)
             b0 = tuple(sorted(b.vertices)[:2])
             if orientations_agree(g, k, o_b, o_x):
                 emb = extract_subdivision(g, k, m, b, model, b0)

@@ -27,10 +27,10 @@ from topstruct.graph import (
 from topstruct.lean import build_k_lean, lean_step_trace
 from topstruct.obstructions import (
     DEFAULT_BUDGET,
-    block_orientation,
+    BlockOrientation,
+    ModelOrientation,
     find_clique_model,
     find_k_blocks,
-    model_orientation,
     refutes_clique_minor,
     serialize_subdivision,
 )
@@ -84,8 +84,8 @@ def test_distinguishing_order_cut_vertex():
     blocks = find_k_blocks(g, k)
     tri = {frozenset(b.vertices) for b in blocks}
     assert frozenset({1, 2, 3}) in tri and frozenset({3, 4, 5}) in tri
-    o1 = block_orientation(g, k, frozenset({1, 2, 3}))
-    o2 = block_orientation(g, k, frozenset({3, 4, 5}))
+    o1 = BlockOrientation(k, frozenset({1, 2, 3}))
+    o2 = BlockOrientation(k, frozenset({3, 4, 5}))
     assert distinguishing_order(g, o1, o2) == 1
     with pytest.raises(Indistinguishable):
         distinguishing_order(g, o1, o1)
@@ -93,9 +93,9 @@ def test_distinguishing_order_cut_vertex():
 
 def test_distinguishing_order_block_vs_model():
     g = two_triangles_joined()
-    o1 = block_orientation(g, 2, frozenset({1, 2, 3}))
+    o1 = BlockOrientation(2, frozenset({1, 2, 3}))
     model = find_clique_model(g, 3, require_meet={3, 4, 5})
-    o2 = model_orientation(g, 2, model)
+    o2 = ModelOrientation(2, model)
     assert distinguishing_order(g, o1, o2) == 1
 
 

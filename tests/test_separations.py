@@ -38,7 +38,7 @@ from topstruct.separations import _mask_key
 
 
 def test_separation_basics():
-    s = Separation.of({1, 2, 3}, {3, 4})
+    s = Separation({1, 2, 3}, {3, 4})
     assert s.separator == {3}
     assert s.order == 1
     assert s.flip().side_a == s.side_b
@@ -239,21 +239,21 @@ def test_mask_built_separation_matches_set_built():
 def test_is_tight():
     g = path_graph(3)
     # ({1,2},{2,3}): lone separator vertex, no pairs -> tight (non-strict)
-    assert is_tight(g, Separation.of({1, 2}, {2, 3}))
+    assert is_tight(g, Separation({1, 2}, {2, 3}))
     # strict needs a neighbor of 2 in both exclusive sides -> also holds
-    assert is_tight(g, Separation.of({1, 2}, {2, 3}), strict=True)
+    assert is_tight(g, Separation({1, 2}, {2, 3}), strict=True)
     g2 = path_graph(4)
-    s = Separation.of({1, 2, 3}, {3, 4})
+    s = Separation({1, 2, 3}, {3, 4})
     assert is_tight(g2, s)
     # strict fails when a separator vertex has no neighbor on one side
-    s2 = Separation.of({1, 2, 3, 4}, {4})
+    s2 = Separation({1, 2, 3, 4}, {4})
     assert is_tight(g2, s2)
     assert not is_tight(g2, s2, strict=True)
     # two-vertex separator with no second connection on one side
     c4 = cycle_graph(4)
-    assert is_tight(c4, Separation.of({1, 2, 3}, {3, 4, 1}))
+    assert is_tight(c4, Separation({1, 2, 3}, {3, 4, 1}))
     g3 = path_graph(5)
-    assert not is_tight(g3, Separation.of({1, 2, 3, 4}, {2, 4, 5}))
+    assert not is_tight(g3, Separation({1, 2, 3, 4}, {2, 4, 5}))
 
 
 def test_budget_exceeded():
@@ -264,14 +264,14 @@ def test_budget_exceeded():
 
 def test_explicit_orientation():
     g = path_graph(3)
-    s = Separation.of({1, 2}, {2, 3})
+    s = Separation({1, 2}, {2, 3})
     o = ExplicitOrientation.from_w_sides(2, [(s, s.side_b)])
     assert o.w_side(s) == s.side_b
     assert o.w_side(s.flip()) == s.side_b
     with pytest.raises(SeparationDoesNotDecide):
-        o.w_side(Separation.of({1, 2, 3}, {2, 3}))  # order 2 >= k
+        o.w_side(Separation({1, 2, 3}, {2, 3}))  # order 2 >= k
     with pytest.raises(SeparationDoesNotDecide):
-        o.w_side(Separation.of(set(g.vertices), {2}))  # not in table
+        o.w_side(Separation(set(g.vertices), {2}))  # not in table
 
 
 def test_orientation_consistency():
