@@ -143,9 +143,9 @@ def cmd_find(args):
             return EXIT_OK
         text = serialize_subdivision(emb)
     elif kind == "zmodel":
-        if not args.z:
+        z = [int(tok) for tok in (args.z or "").replace(",", " ").split()]
+        if not z:
             raise ValueError("--kind zmodel needs --z")
-        z = [int(tok) for tok in args.z.replace(",", " ").split()]
         model = find_z_based_model(g, z, budget=args.budget)
         if model is None:
             print("none")

@@ -3,9 +3,13 @@
 ``build_k_lean`` starts from the trivial decomposition and repeatedly
 applies the classical exchange step to the first leanness violation;
 every step strictly decreases the fatness of the decomposition, so the
-loop terminates.  ``build_k_atomic_exact`` is the tiny-instance oracle:
-it finds a decomposition of genuinely minimum fatness among all
-decompositions of adhesion < k by exhaustive dynamic programming.
+loop terminates.  The first violation's witness has minimum order, so
+the exchange needs no shrinking: it takes one disjoint path system per
+side from ``flows`` and builds the new bags as vertex masks.
+
+``build_k_atomic_exact`` is the tiny-instance oracle: it finds a
+decomposition of genuinely minimum fatness among all decompositions of
+adhesion < k by exhaustive dynamic programming.
 """
 
 from .decomposition import TreeDecomposition, leanness_table
@@ -31,44 +35,20 @@ def _violation_is_genuine(g, td, viol):
     )
 
 
-def _minimize_witness(g, td, viol):
-    """Shrink the witness separation to minimum order.
-
-    While fewer than |A ∩ B| disjoint paths join the separator to the
-    relevant bag inside a side, the Menger separator of that side yields
-    a separation of strictly smaller order with the same bag-coverage
-    properties.  On return, both sides carry full disjoint path systems,
-    one path per separator vertex, which the exchange step consumes.
-    """
-    a, b = set(viol.witness.side_a), set(viol.witness.side_b)
-    vs, vt = td.bags[viol.s], td.bags[viol.t]
-    while True:
-        x = a & b
-        paths_a, sep_a = disjoint_path_system(g, x, vs & a, a)
-        if len(sep_a) < len(x):
-            a, b = _shift_side(g, a, b, vs, sep_a)
-            continue
-        paths_b, sep_b = disjoint_path_system(g, x, vt & b, b)
-        if len(sep_b) < len(x):
-            b, a = _shift_side(g, b, a, vt, sep_b)
-            continue
-        by_start_a = {p[0]: p for p in paths_a}
-        by_start_b = {p[0]: p for p in paths_b}
-        return frozenset(a), frozenset(b), by_start_a, by_start_b
-
-
-def _shift_side(g, a, b, bag, sep):
-    """Replace (A, B) by the separation through the Menger separator."""
-    sep_m = mask_of(sep)
-    keep = g.reachable_mask(mask_of(bag & a) & ~sep_m, mask_of(a) & ~sep_m)
-    new_a = set_of(keep | sep_m)
-    new_b = b | (a - new_a) | sep
-    return new_a, new_b
-
-
 def improvement_step(g, td, viol):
     """One exchange: split td along the witness into an A-copy and a
     B-copy glued across the separator; strictly smaller fatness.
+
+    The witness (A, B), with X = A ∩ B, must be of minimum order: inside
+    each side, |X| disjoint paths join X to the bag that side covers,
+    V_s ∩ A in G[A] and V_t ∩ B in G[B].  Otherwise this raises
+    ``NotAViolation``.  ``check_k_lean`` never returns another witness.
+    Its witness at level p has |X| = p - 1.  Suppose some S ⊆ A with
+    |S| < |X| met every X–(V_s ∩ A) path in G[A], and let R be what
+    (V_s ∩ A) ∖ S reaches in G[A ∖ S].  Then (R ∪ S, B ∪ (A ∖ R)) is a
+    proper separation of order |S| with all of V_s ∩ A on its first side
+    and all of V_t ∩ B on its second: a witness at level |S| + 1 < p,
+    which the check would have returned first.  The B side is symmetric.
 
     The bags of the A-copy keep their A-part and additionally pick up
     every separator vertex whose B-side path meets the bag (and
@@ -77,20 +57,28 @@ def improvement_step(g, td, viol):
     """
     if not _violation_is_genuine(g, td, viol):
         raise NotAViolation("not a leanness violation for this decomposition")
-    a, b, paths_a, paths_b = _minimize_witness(g, td, viol)
-    x = a & b
-    path_b_masks = {v: mask_of(paths_b[v]) for v in x}
-    path_a_masks = {v: mask_of(paths_a[v]) for v in x}
+    sep = viol.witness
+    x = sep.separator
+    # per side, (bit of the path's separator vertex, mask of the path)
+    path_bits = []
+    for side, node in ((sep.side_a, viol.s), (sep.side_b, viol.t)):
+        paths, _ = disjoint_path_system(g, x, td.bags[node] & side, side)
+        if len(paths) < len(x):
+            raise NotAViolation("witness is not of minimum order")
+        path_bits.append([(1 << p[0], mask_of(p)) for p in paths])
+    paths_a, paths_b = path_bits
 
     offset = max(td.nodes) + 1
     bags = {}
     neigh = {}
     for u in td.nodes:
         bag_m = mask_of(td.bags[u])
-        bag_a = (td.bags[u] & a) | {v for v in x if bag_m & path_b_masks[v]}
-        bag_b = (td.bags[u] & b) | {v for v in x if bag_m & path_a_masks[v]}
-        bags[u] = frozenset(bag_a)
-        bags[u + offset] = frozenset(bag_b)
+        bags[u] = bag_m & sep.mask_a | sum(
+            bit for bit, path in paths_b if bag_m & path
+        )
+        bags[u + offset] = bag_m & sep.mask_b | sum(
+            bit for bit, path in paths_a if bag_m & path
+        )
         neigh[u] = set(td.neighbors(u))
         neigh[u + offset] = {w + offset for w in td.neighbors(u)}
     neigh[viol.t].add(viol.s + offset)
@@ -108,9 +96,9 @@ def improvement_step(g, td, viol):
 
 def _prune(bags, neigh):
     """Drop empty bags and bags contained in a neighboring bag from the
-    tree given by ``bags`` and ``neigh`` (node -> set of neighbors),
-    and return what is left as a TreeDecomposition.  Both dicts are
-    consumed."""
+    tree given by ``bags`` (node -> vertex mask) and ``neigh`` (node ->
+    set of neighbors), and return what is left as a TreeDecomposition.
+    Both dicts are consumed."""
     nodes = set(bags)
     changed = True
     while changed:
@@ -124,7 +112,7 @@ def _prune(bags, neigh):
                 target = min(others) if others else None
             else:
                 for w in sorted(others):
-                    if bags[u] <= bags[w]:
+                    if not bags[u] & ~bags[w]:
                         target = w
                         break
             if target is None:
@@ -145,7 +133,9 @@ def _prune(bags, neigh):
     for u in nodes:
         for w in neigh[u]:
             edges.add((min(u, w), max(u, w)))
-    return TreeDecomposition(nodes, edges, bags)
+    return TreeDecomposition(
+        nodes, edges, {u: set_of(bags[u]) for u in nodes}
+    )
 
 
 def build_k_lean(g, k, budget=DEFAULT_BUDGET, *, seps=None):

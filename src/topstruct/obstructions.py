@@ -457,7 +457,6 @@ class ModelOrientation(Orientation):
 
     def __init__(self, k, model):
         super().__init__(k)
-        self.model = model
         self._masks = [mask_of(s) for s in model.branch_sets]
 
     def w_side(self, s):

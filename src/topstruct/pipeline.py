@@ -258,7 +258,7 @@ def _model_home_nodes(g, m, td, budget):
     return homes
 
 
-def run_structure(g, params, budget=DEFAULT_BUDGET, default_blue=True):
+def run_structure(g, params, budget=DEFAULT_BUDGET):
     """Run the whole argument on g.
 
     Either a subdivision of K_r with branch vertices inside some block
@@ -321,7 +321,7 @@ def run_structure(g, params, budget=DEFAULT_BUDGET, default_blue=True):
             "F edge %d-%d order %d" % (e[0], e[1], td.edge_order(*e))
         )
     coloring = color_nodes(
-        td, f, set(block_homes), set(model_homes), default_blue=default_blue
+        td, f, set(block_homes), set(model_homes), default_blue=True
     )
     if coloring.defaulted:
         report.append(

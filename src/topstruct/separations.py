@@ -122,23 +122,17 @@ def is_mask_separation(g, am, bm):
     return True
 
 
-def is_tight(g, s, strict=False):
+def is_tight(g, s):
     """Tightness: each separator pair is joined, inside both sides, by a
     path internally avoiding the separator.
 
     The definition quantifies over all x, y in the separator; we read it
-    as x != y.  ``strict`` additionally requires every separator vertex
-    to have a neighbor in each exclusive side, which is what the x == y
-    reading would force.
+    as x != y.
     """
     sep_m = s.mask_a & s.mask_b
     sep = list(bits(sep_m))
     for side_m in (s.mask_a, s.mask_b):
         interior = side_m & ~sep_m
-        if strict:
-            for x in sep:
-                if not (g.adj[x] & interior):
-                    return False
         for x, y in itertools.combinations(sep, 2):
             if g.adj[x] >> y & 1:
                 continue

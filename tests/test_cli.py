@@ -122,6 +122,18 @@ def test_find_zmodel_rejects_vertices_outside_the_graph(tmp_path, capsys, z):
     assert not (tmp_path / "c4.witness.txt").exists()
 
 
+@pytest.mark.parametrize("z", [None, "", ",", " , "])
+def test_find_zmodel_needs_a_vertex(tmp_path, capsys, z):
+    # a Z without a vertex would ask for the empty K_0 model
+    c4 = _write(tmp_path, "c4.gr", cycle_graph(4))
+    args = ["find", "--kind", "zmodel", c4]
+    if z is not None:
+        args[3:3] = ["--z", z]
+    assert main(args) == 64
+    assert "--kind zmodel needs --z" in capsys.readouterr().err
+    assert not (tmp_path / "c4.witness.txt").exists()
+
+
 def _parse_model(text, m):
     """The branch sets printed by ``find --kind minor``."""
     lines = [line for line in text.splitlines() if line.startswith("x ")]

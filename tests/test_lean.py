@@ -3,12 +3,18 @@ import random
 
 import pytest
 
-from conftest import degenerate_members, full_s_k, small_corpus
+from conftest import (
+    brute_menger,
+    degenerate_members,
+    full_s_k,
+    small_corpus,
+)
 
 from topstruct.decomposition import (
     LeannessViolation,
     TreeDecomposition,
     leanness_table,
+    write_td,
 )
 from topstruct.errors import Budget, BudgetExceeded, NotAViolation
 from topstruct.graph import (
@@ -21,9 +27,8 @@ from topstruct.graph import (
     random_graph,
     set_of,
 )
+from topstruct.flows import disjoint_path_system
 from topstruct.lean import (
-    _minimize_witness,
-    _shift_side,
     build_k_atomic_exact,
     build_k_lean,
     improvement_step,
@@ -110,17 +115,17 @@ def test_improvement_step_applies_real_violation():
     assert out.fatness(6) < td.fatness(6)
 
 
-def test_improvement_step_shifts_a_non_minimum_witness(monkeypatch):
-    """A witness whose separator lies outside the bag is shrunk by the
-    Menger shift before the exchange.
+def test_improvement_step_rejects_a_non_minimum_witness():
+    """A witness whose separator lies outside the bag is not of minimum
+    order, and the exchange step refuses it.
 
     Two K_4s, {1..4} and {7..10}, hang on the middle vertices 5 and 6;
     on the left only vertex 4 reaches them.  Node 1's bag holds both
     K_4s, node 2's the middle.  The order-2 witness through {5, 6}
     covers 4 vertices of bag 1 on each side, but the left K_4 sends only
-    one path to {5, 6}, so the shift must replace it by the order-1
-    separation through {4}.  Both directions are tried, so the shift
-    runs once on the A side and once on the B side.
+    one path to {5, 6}: in one direction on the A side, in the other on
+    the B side.  The leanness check returns the order-1 witness through
+    {4} instead, which the step takes.
     """
     left, right = [1, 2, 3, 4], [7, 8, 9, 10]
     g = Graph.from_edges(
@@ -131,33 +136,75 @@ def test_improvement_step_shifts_a_non_minimum_witness(monkeypatch):
     )
     bags = {1: frozenset(left + right), 2: frozenset({4, 5, 6, 7, 8})}
     td = TreeDecomposition({1, 2}, {(1, 2)}, bags)
-    assert td.validate(g)
-    shifts = []
-
-    def spy(g, a, b, bag, sep):
-        out = _shift_side(g, a, b, bag, sep)
-        shifts.append((len(a & b), out))
-        return out
-
-    monkeypatch.setattr("topstruct.lean._shift_side", spy)
-    bag = bags[1]
+    assert td.validate(g) and td.adhesion() == 3
     for witness in (
         Separation({1, 2, 3, 4, 5, 6}, {5, 6, 7, 8, 9, 10}),
         Separation({5, 6, 7, 8, 9, 10}, {1, 2, 3, 4, 5, 6}),
     ):
+        assert is_separation(g, witness.side_a, witness.side_b)
         viol = LeannessViolation(1, 1, 3, witness)
-        shifts.clear()
-        a, b, _, _ = _minimize_witness(g, td, viol)
-        assert len(shifts) == 1
-        old_order, (side, other) = shifts[0]
-        assert is_separation(g, side, other)
-        assert len(side & other) < old_order
-        assert is_separation(g, a, b)
-        assert (a & b) == {4} and len(a & b) < witness.order
-        assert len(a & bag) >= viol.p and len(b & bag) >= viol.p
-        out = improvement_step(g, td, viol)
-        assert out.validate(g)
-        assert out.fatness(g.n) < td.fatness(g.n)
+        with pytest.raises(NotAViolation, match="minimum order"):
+            improvement_step(g, td, viol)
+    viol = td.check_k_lean(g, 4)
+    assert (viol.s, viol.t, viol.p) == (1, 1, 2)
+    assert viol.witness.separator == {4}
+    out = improvement_step(g, td, viol)
+    assert out.validate(g)
+    assert out.fatness(g.n) < td.fatness(g.n)
+
+
+def test_exchange_along_longer_paths(monkeypatch):
+    """The exchange routes a separator vertex along a path of several
+    vertices; no benchmark workload takes such a step."""
+    g = Graph.from_edges(12, [
+        (1, 2), (1, 4), (1, 5), (2, 4), (2, 6), (3, 4), (3, 8), (3, 12),
+        (4, 5), (4, 10), (4, 11), (5, 11), (6, 7), (6, 8), (7, 11),
+        (8, 12), (9, 10), (10, 12), (11, 12),
+    ])
+    systems = []
+
+    def recording(g, src, dst, allowed):
+        paths, separator = disjoint_path_system(g, src, dst, allowed)
+        systems.append(paths)
+        return paths, separator
+
+    monkeypatch.setattr("topstruct.lean.disjoint_path_system", recording)
+    td = build_k_lean(g, 4)
+    assert sum(any(len(p) > 1 for p in paths) for paths in systems) == 4
+    assert write_td(td, 12) == (
+        "s td 9 4 12\n"
+        "b 1 1 2 4 5\n"
+        "b 2 2 4 5 6\n"
+        "b 3 4 5 6 11\n"
+        "b 4 6 7 11\n"
+        "b 5 4 6 8 11\n"
+        "b 6 4 8 11 12\n"
+        "b 7 4 10 12\n"
+        "b 8 9 10\n"
+        "b 9 3 4 8 12\n"
+        "1 2\n2 3\n3 4\n3 5\n5 6\n6 7\n6 9\n7 8\n"
+    )
+
+
+def test_leanness_witnesses_have_full_path_systems():
+    """Every witness the lean builder exchanges along has minimum order:
+    by subset enumeration, no fewer than |X| vertices of A meet every
+    path from X to V_s ∩ A in G[A], and likewise in G[B] towards
+    V_t ∩ B.  This is the argument in ``improvement_step``'s docstring,
+    checked without the flow."""
+    steps = wide = 0
+    for k in (2, 3, 4):
+        for g in small_corpus(70 + k, 30, 9):
+            td = TreeDecomposition.single_bag(g.vertices)
+            for viol, after in lean_step_trace(g, k):
+                a, b = viol.witness.side_a, viol.witness.side_b
+                x = a & b
+                assert brute_menger(g, x, td.bags[viol.s] & a, a) == len(x)
+                assert brute_menger(g, x, td.bags[viol.t] & b, b) == len(x)
+                steps += 1
+                wide += len(x) >= 2
+                td = after
+    assert steps > 100 and wide > 20
 
 
 def test_budget_exceeded():

@@ -238,17 +238,14 @@ def test_mask_built_separation_matches_set_built():
 
 def test_is_tight():
     g = path_graph(3)
-    # ({1,2},{2,3}): lone separator vertex, no pairs -> tight (non-strict)
+    # ({1,2},{2,3}): lone separator vertex, no pairs -> tight
     assert is_tight(g, Separation({1, 2}, {2, 3}))
-    # strict needs a neighbor of 2 in both exclusive sides -> also holds
-    assert is_tight(g, Separation({1, 2}, {2, 3}), strict=True)
     g2 = path_graph(4)
     s = Separation({1, 2, 3}, {3, 4})
     assert is_tight(g2, s)
-    # strict fails when a separator vertex has no neighbor on one side
+    # a lone separator vertex needs no neighbor on either side
     s2 = Separation({1, 2, 3, 4}, {4})
     assert is_tight(g2, s2)
-    assert not is_tight(g2, s2, strict=True)
     # two-vertex separator with no second connection on one side
     c4 = cycle_graph(4)
     assert is_tight(c4, Separation({1, 2, 3}, {3, 4, 1}))
