@@ -60,14 +60,18 @@ def leanness_table(seps):
 
 
 class TreeDecomposition:
-    def __init__(self, nodes, tree_edges, bags):
-        self.nodes = frozenset(nodes)
+    """A tree with one bag per node.
+
+    ``tree_edges`` are pairs of node ids and ``bags`` maps each node id to
+    its vertex set; the nodes are the bag keys.
+    """
+
+    def __init__(self, tree_edges, bags):
         self.tree_edges = frozenset(
             (min(s, t), max(s, t)) for s, t in tree_edges
         )
         self.bags = {node: frozenset(bag) for node, bag in bags.items()}
-        if set(self.bags) != set(self.nodes):
-            raise ValueError("bags and nodes out of sync")
+        self.nodes = frozenset(self.bags)
         self._neighbors = {node: set() for node in self.nodes}
         for s, t in self.tree_edges:
             self._neighbors[s].add(t)
@@ -75,19 +79,15 @@ class TreeDecomposition:
 
     @staticmethod
     def single_bag(vertices):
-        return TreeDecomposition({1}, set(), {1: frozenset(vertices)})
+        return TreeDecomposition(set(), {1: frozenset(vertices)})
 
     def __eq__(self, other):
         if not isinstance(other, TreeDecomposition):
             return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and self.tree_edges == other.tree_edges
-            and self.bags == other.bags
-        )
+        return self.tree_edges == other.tree_edges and self.bags == other.bags
 
     def __hash__(self):
-        return hash((self.nodes, self.tree_edges, frozenset(self.bags.items())))
+        return hash((self.tree_edges, frozenset(self.bags.items())))
 
     def __repr__(self):
         return "TreeDecomposition(%d nodes, %d edges)" % (
@@ -186,13 +186,11 @@ class TreeDecomposition:
         """Both tree-decomposition axioms plus tree-ness."""
         if not self.is_tree():
             return False
-        covered = frozenset().union(*self.bags.values()) if self.bags else frozenset()
+        covered = frozenset().union(*self.bags.values())
         if covered != set(g.vertices):
             return False
         for v in g.vertices:
             holders = {node for node, bag in self.bags.items() if v in bag}
-            if not holders:
-                return False
             if len(self.reach(min(holders), within=holders)) != len(holders):
                 return False
         for u, v in g.edges:
@@ -216,18 +214,10 @@ class TreeDecomposition:
         verts = frozenset().union(*(self.bags[x] for x in node_set))
         extra = set()
         for s, t in self.tree_edges:
-            inside = (s in node_set) + (t in node_set)
-            if inside == 1:
+            if (s in node_set) != (t in node_set):
                 adhesion_set = sorted(self.bags[s] & self.bags[t])
                 extra.update(itertools.combinations(adhesion_set, 2))
-        labels = sorted(verts)
-        index = {old: i + 1 for i, old in enumerate(labels)}
-        edges = [
-            (index[u], index[v])
-            for u, v in set(g.edges) | extra
-            if u in index and v in index
-        ]
-        return Graph.from_edges(len(labels), edges), labels
+        return Graph(g.n, g.edges | extra).induced(verts)
 
     def torso_at_node(self, g, node):
         return self.torso_at_subtree(g, {node})
@@ -238,7 +228,6 @@ class TreeDecomposition:
         """Contract st; the merged node gets a fresh id."""
         self._require_edge(s, t)
         new = max(self.nodes) + 1
-        nodes = (self.nodes - {s, t}) | {new}
         edges = set()
         for a, b in self.tree_edges:
             if {a, b} == {s, t}:
@@ -248,7 +237,7 @@ class TreeDecomposition:
             edges.add((min(a2, b2), max(a2, b2)))
         bags = {n: self.bags[n] for n in self.nodes - {s, t}}
         bags[new] = self.bags[s] | self.bags[t]
-        return TreeDecomposition(nodes, edges, bags)
+        return TreeDecomposition(edges, bags)
 
     # -- fatness -------------------------------------------------------
 
@@ -350,8 +339,6 @@ class TreeDecomposition:
 
     def home_node(self, orientation):
         """Unique sink of the edge orientation induced by ``orientation``."""
-        if len(self.nodes) == 1:
-            return next(iter(self.nodes))
         outdeg = {node: 0 for node in self.nodes}
         for s, t in self.tree_edges:
             sep = self.induced_separation(s, t)
@@ -380,7 +367,6 @@ def renumbered(td, coloring=None):
     order = sorted(td.nodes)
     index = {old: i + 1 for i, old in enumerate(order)}
     new_td = TreeDecomposition(
-        set(index.values()),
         {(index[s], index[t]) for s, t in td.tree_edges},
         {index[n]: td.bags[n] for n in order},
     )
@@ -475,7 +461,7 @@ def parse_td(text):
             raise FormatError("tree edge (%d,%d) references unknown bag" % (s, t))
     if coloring and not set(coloring) <= set(bags):
         raise FormatError("color comment references unknown bag")
-    td = TreeDecomposition(set(bags), edges, bags)
+    td = TreeDecomposition(edges, bags)
     return td, n, (coloring or None)
 
 

@@ -24,12 +24,7 @@ def mask_of(vertices):
 
 
 def set_of(mask):
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return set(bits(mask))
 
 
 @dataclass(frozen=True)

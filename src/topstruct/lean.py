@@ -104,8 +104,6 @@ def _prune(bags, neigh):
     while changed:
         changed = False
         for u in sorted(nodes):
-            if len(nodes) == 1:
-                break
             others = neigh[u]
             target = None
             if not bags[u]:
@@ -133,9 +131,7 @@ def _prune(bags, neigh):
     for u in nodes:
         for w in neigh[u]:
             edges.add((min(u, w), max(u, w)))
-    return TreeDecomposition(
-        nodes, edges, {u: set_of(bags[u]) for u in nodes}
-    )
+    return TreeDecomposition(edges, {u: set_of(bags[u]) for u in nodes})
 
 
 def build_k_lean(g, k, budget=DEFAULT_BUDGET, *, seps=None):
@@ -279,4 +275,4 @@ def build_k_atomic_exact(g, k, budget=DEFAULT_BUDGET):
             realize(child, me)
 
     realize(plan, None)
-    return TreeDecomposition(set(nodes), edges, nodes)
+    return TreeDecomposition(edges, nodes)

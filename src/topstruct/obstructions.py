@@ -333,7 +333,7 @@ def find_clique_model(g, m, budget=DEFAULT_BUDGET, require_meet=None):
     return _ModelSearch(g, m, budget, require_meet=require_meet).run()
 
 
-def find_z_based_model(g, z, budget=DEFAULT_BUDGET, require_meet=None):
+def find_z_based_model(g, z, budget=DEFAULT_BUDGET):
     """A K_{|z|} model with exactly one z-vertex per branch set, or None.
 
     Raises ``ValueError`` naming the first vertex of z outside 1..n.
@@ -342,9 +342,7 @@ def find_z_based_model(g, z, budget=DEFAULT_BUDGET, require_meet=None):
         if not 1 <= v <= g.n:
             raise ValueError("z vertex %d outside 1..%d" % (v, g.n))
     z = sorted(set(z))
-    return _ModelSearch(
-        g, len(z), budget, require_meet=require_meet, seeds=z
-    ).run()
+    return _ModelSearch(g, len(z), budget, seeds=z).run()
 
 
 # -- subdivisions ------------------------------------------------------
@@ -606,7 +604,6 @@ def _copy_graph(g, b0, copies_each):
     The first copy reuses the original label (and is the one the paths
     are later identified back to); extras get fresh labels past n.
     """
-    b0_set = set(b0)
     next_label = g.n + 1
     copies = {}
     for bb in b0:
@@ -616,20 +613,12 @@ def _copy_graph(g, b0, copies_each):
             next_label += 1
         copies[bb] = mine
     n_h = next_label - 1
-    edges = []
-    for u, v in g.sorted_edges():
-        if u in b0_set and v in b0_set:
-            for cu in copies[u]:
-                for cv in copies[v]:
-                    edges.append((cu, cv))
-        elif u in b0_set:
-            for cu in copies[u]:
-                edges.append((cu, v))
-        elif v in b0_set:
-            for cv in copies[v]:
-                edges.append((u, cv))
-        else:
-            edges.append((u, v))
+    edges = [
+        (cu, cv)
+        for u, v in g.sorted_edges()
+        for cu in copies.get(u, (u,))
+        for cv in copies.get(v, (v,))
+    ]
     return Graph.from_edges(n_h, edges), copies
 
 

@@ -198,8 +198,13 @@ def color_nodes(td, f, block_homes, model_homes, default_blue=False):
 
 
 def contract_blue(td, coloring):
-    """Contract every maximal all-blue subtree to a single node."""
+    """Contract every maximal all-blue subtree to a single node.
+
+    Each contraction renames the F edges as it renames the tree edges;
+    an F edge that is contracted away is dropped.
+    """
     colors = dict(coloring.color)
+    f = coloring.f_edges
     while True:
         edge = None
         for e in sorted(td.tree_edges):
@@ -214,9 +219,8 @@ def contract_blue(td, coloring):
         del colors[s]
         del colors[t]
         colors[fresh] = "blue"
-    remaining_f = frozenset(
-        e for e in coloring.f_edges if e in td.tree_edges
-    )
+        f = {tuple(sorted(fresh if x in edge else x for x in e)) for e in f}
+    remaining_f = frozenset(e for e in f if e in td.tree_edges)
     return td, Coloring(colors, remaining_f, frozenset())
 
 

@@ -289,9 +289,6 @@ class Report:
         self.failures = []
         self.unverified = []
 
-    def note(self, line):
-        self.lines.append(line)
-
     def check(self, ok, line):
         self.lines.append(("pass: " if ok else "FAIL: ") + line)
         if not ok:

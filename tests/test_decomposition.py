@@ -28,7 +28,6 @@ from topstruct.separations import ExplicitOrientation, is_separation
 def path_td():
     """P4 decomposed along its edges."""
     return TreeDecomposition(
-        {1, 2, 3},
         {(1, 2), (2, 3)},
         {1: frozenset({1, 2}), 2: frozenset({2, 3}), 3: frozenset({3, 4})},
     )
@@ -39,20 +38,16 @@ def test_validate():
     td = path_td()
     assert td.validate(g)
     # missing edge coverage
-    bad = TreeDecomposition(
-        {1, 2}, {(1, 2)}, {1: frozenset({1, 2}), 2: frozenset({4})}
-    )
+    bad = TreeDecomposition({(1, 2)}, {1: frozenset({1, 2}), 2: frozenset({4})})
     assert not bad.validate(g)
     # broken subtree connectivity
     bad2 = TreeDecomposition(
-        {1, 2, 3},
         {(1, 2), (2, 3)},
         {1: frozenset({1, 2}), 2: frozenset({3}), 3: frozenset({1, 3, 4})},
     )
     assert not bad2.validate(g)
     # not a tree (cycle)
     bad3 = TreeDecomposition(
-        {1, 2, 3},
         {(1, 2), (2, 3), (1, 3)},
         {1: frozenset({1, 2}), 2: frozenset({2, 3}), 3: frozenset({3, 4})},
     )
@@ -87,7 +82,6 @@ def test_torso():
     # torso over a subtree overlays a clique on the boundary adhesion sets
     c = cycle_graph(4)
     td2 = TreeDecomposition(
-        {1, 2},
         {(1, 2)},
         {1: frozenset({1, 2, 4}), 2: frozenset({2, 3, 4})},
     )
@@ -149,9 +143,7 @@ def test_fatness():
 
 def test_check_k_lean_examples():
     g = path_graph(3)
-    td = TreeDecomposition(
-        {1, 2}, {(1, 2)}, {1: frozenset({1, 2}), 2: frozenset({2, 3})}
-    )
+    td = TreeDecomposition({(1, 2)}, {1: frozenset({1, 2}), 2: frozenset({2, 3})})
     assert td.check_k_lean(g, 2) is None
     two_triangles = Graph.from_edges(
         6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
@@ -162,7 +154,6 @@ def test_check_k_lean_examples():
     assert viol.witness.order < viol.p
     # adhesion >= k must be rejected
     wide = TreeDecomposition(
-        {1, 2},
         {(1, 2)},
         {1: frozenset({1, 2, 3}), 2: frozenset({2, 3, 4})},
     )

@@ -89,7 +89,7 @@ def test_improvement_step_rejects_thin_sides_and_non_separations():
     # bag 1 = {1, 2, 3} holds three vertices of A = {1, 2, 3} but only
     # one of B = {3, 4, 5}; at p = 2 each direction fails on one side
     g = path_graph(5)
-    td = TreeDecomposition({1, 2}, {(1, 2)}, {1: {1, 2, 3}, 2: {3, 4, 5}})
+    td = TreeDecomposition({(1, 2)}, {1: {1, 2, 3}, 2: {3, 4, 5}})
     left, right = {1, 2, 3}, {3, 4, 5}
     for node, a, b in [(1, left, right), (1, right, left), (2, left, right)]:
         viol = LeannessViolation(node, node, 2, Separation(a, b))
@@ -135,7 +135,7 @@ def test_improvement_step_rejects_a_non_minimum_witness():
         + [(4, 5), (4, 6), (5, 7), (6, 8)],
     )
     bags = {1: frozenset(left + right), 2: frozenset({4, 5, 6, 7, 8})}
-    td = TreeDecomposition({1, 2}, {(1, 2)}, bags)
+    td = TreeDecomposition({(1, 2)}, bags)
     assert td.validate(g) and td.adhesion() == 3
     for witness in (
         Separation({1, 2, 3, 4, 5, 6}, {5, 6, 7, 8, 9, 10}),
@@ -423,7 +423,7 @@ def test_check_k_lean_rejects_a_forest():
     # path minimum is needed; at k = 2 ({1, 2}, {2, 3, 4}) starts a
     # witness at node 1, which needs them
     g = path_graph(4)
-    forest = TreeDecomposition({1, 2}, set(), {1: {1, 2}, 2: {3, 4}})
+    forest = TreeDecomposition(set(), {1: {1, 2}, 2: {3, 4}})
     for k in (1, 2):
         with pytest.raises(ValueError, match="different trees"):
             forest.check_k_lean(g, k)

@@ -13,6 +13,7 @@ from topstruct.errors import (
     BudgetExceeded,
     CoverageImpossible,
     Indistinguishable,
+    OrientationMismatch,
     UncoloredComponent,
 )
 from topstruct.graph import (
@@ -35,6 +36,7 @@ from topstruct.obstructions import (
     serialize_subdivision,
 )
 from topstruct.pipeline import (
+    Coloring,
     Parameters,
     check_join_lemma,
     color_nodes,
@@ -101,7 +103,6 @@ def test_distinguishing_order_block_vs_model():
 
 def _manual_td():
     return TreeDecomposition(
-        {1, 2, 3},
         {(1, 2), (2, 3)},
         {1: frozenset({1, 2}), 2: frozenset({2, 3}), 3: frozenset({3, 4})},
     )
@@ -146,16 +147,59 @@ def test_contract_blue():
     assert len(blue) == 1 and len(red) == 1
     assert out.bags[blue[0]] == {1, 2, 3}
     assert out.bags[red[0]] == {3, 4}
+    # the F edge (2, 3) is the remaining tree edge, renamed with node 2
+    assert oc.f_edges == {(3, 4)}
     # alternating r/b/r keeps the shape
     c2 = color_nodes(td, {(1, 2), (2, 3)}, {2}, {1, 3})
     out2, _ = contract_blue(td, c2)
     assert len(out2.nodes) == 3
 
 
+def test_contract_blue_numbers_two_blue_components():
+    """Two blue components of several nodes each: every contraction of
+    the lowest all-blue tree edge takes the next fresh id, so {6, 7, 8}
+    becomes node 13 and {2, 3, 4, 5} node 14.  The written bytes are
+    pinned: renumbered, the first component merged is written second."""
+    edges = {(1, 9), (2, 4), (2, 5), (3, 5), (5, 9), (6, 8), (7, 8), (8, 9)}
+    td = TreeDecomposition(edges, {v: frozenset({v}) for v in range(1, 10)})
+    color = {v: "blue" for v in range(1, 9)}
+    color[9] = "red"
+    f = frozenset({(1, 9), (5, 9), (8, 9)})
+    out, oc = contract_blue(td, Coloring(color, f))
+    assert write_td(out, 9, oc.color) == (
+        "s td 4 4 9\n"
+        "b 1 1\n"
+        "b 2 9\n"
+        "b 3 6 7 8\n"
+        "b 4 2 3 4 5\n"
+        "1 2\n"
+        "2 3\n"
+        "2 4\n"
+        "c color 1 blue\n"
+        "c color 2 red\n"
+        "c color 3 blue\n"
+        "c color 4 blue\n"
+    )
+    assert oc.f_edges == {(1, 9), (9, 13), (9, 14)} == out.tree_edges
+
+
+@pytest.mark.xfail(strict=True, raises=OrientationMismatch)
+def test_subdivision_exit_orientation_mismatch():
+    """A known defect at (k, m) = (4, 4).  Lean node 19 is the home of
+    the block {4, 6, 8, 9, 11} and of the model [[3, 4, 6, 8], [11], [9],
+    [1]], yet the two orient the order-3 separation ({1, 2, 3, 9, 11},
+    {3, ..., 11}) apart: only the branch set [1] avoids its separator."""
+    g = Graph.from_edges(11, [
+        (1, 2), (1, 3), (1, 9), (1, 11), (3, 4), (3, 8), (4, 6), (4, 8),
+        (4, 11), (5, 6), (5, 10), (5, 11), (6, 8), (6, 9), (7, 8), (7, 9),
+        (7, 10), (8, 9), (8, 11), (9, 11), (10, 11),
+    ])
+    run_structure(g, Parameters.generalized_km(4, 4))
+
+
 def test_check_join_lemma_simple():
     g = two_triangles_joined()
     td = TreeDecomposition(
-        {1, 2},
         {(1, 2)},
         {1: frozenset({1, 2, 3}), 2: frozenset({3, 4, 5})},
     )
@@ -166,9 +210,7 @@ def test_check_join_lemma_simple():
 
 def test_check_join_lemma_adhesion_zero():
     g = Graph.from_edges(2, [])
-    td = TreeDecomposition(
-        {1, 2}, {(1, 2)}, {1: frozenset({1}), 2: frozenset({2})}
-    )
+    td = TreeDecomposition({(1, 2)}, {1: frozenset({1}), 2: frozenset({2})})
     assert check_join_lemma(g, td, 1, 2)
 
 

@@ -54,7 +54,7 @@ def _decomposition(rng, ids, edges):
         x: frozenset(rng.sample(range(1, VERTICES + 1), rng.randint(1, 3)))
         for x in ids
     }
-    return TreeDecomposition(ids, edges, bags)
+    return TreeDecomposition(edges, bags)
 
 
 def _cases(seed, count, kinds=KINDS):
@@ -116,7 +116,7 @@ def test_is_tree_matches_brute_force():
         assert td.is_tree() == expected
         seen.add(expected)
     assert seen == {True, False}
-    assert not TreeDecomposition(set(), set(), {}).is_tree()
+    assert not TreeDecomposition(set(), {}).is_tree()
 
 
 def test_side_nodes_on_any_edge_set():
@@ -171,7 +171,7 @@ def test_validate_subtree_condition():
             if not any(v in bag for bag in bags.values()):
                 x = rng.choice(ids)
                 bags[x] = bags[x] | {v}
-        td = TreeDecomposition(ids, edges, bags)
+        td = TreeDecomposition(edges, bags)
         g = Graph.from_edges(VERTICES, {
             (u, v) for bag in bags.values() for u in bag for v in bag if u < v
         })

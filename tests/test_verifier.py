@@ -95,7 +95,6 @@ def test_verify_theorem_torsos_share_one_budget():
         + [(u + 11, v + 11) for u, v in grid.sorted_edges()],
     )
     td = TreeDecomposition(
-        {1, 2},
         {(1, 2)},
         {1: frozenset(range(1, 13)), 2: frozenset(range(12, 24))},
     )
@@ -230,7 +229,7 @@ def test_verify_theorem_catches_corruption():
     bags[victim] = frozenset(sorted(bags[victim])[1:])  # drop a vertex
     broken = StructureResult(
         p,
-        decomposition=TreeDecomposition(td.nodes, td.tree_edges, bags),
+        decomposition=TreeDecomposition(td.tree_edges, bags),
         coloring=res.coloring,
     )
     rep = verify_theorem(g, p, broken)
