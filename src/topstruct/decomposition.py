@@ -290,8 +290,15 @@ class TreeDecomposition:
         rows of order p - 1 is the first match among all rows of order
         < p.
 
-        The path minima from a node s are computed, by one ``reach``
-        from s, only once some row has p vertices of V_s on its A side.
+        A level p above the adhesion tests each bag only against
+        itself.  For s != t the s-t path has an edge, of order at most
+        the adhesion, so below p: only t = s can qualify.  And a row of
+        order p - 1 with p vertices of V_s on each side needs
+        |V_s| >= 2p - (p - 1) = p + 1, so smaller bags are skipped.  At
+        levels up to the adhesion, the path minima from a node s are
+        computed, by one ``reach`` from s, only once some row has p
+        vertices of V_s on its A side.  One walk up front rejects a
+        forest before any level can return.
         """
         order = {
             (s, t): len(self.bags[s] & self.bags[t]) for s, t in self.tree_edges
@@ -299,10 +306,12 @@ class TreeDecomposition:
         adhesion = max(order.values(), default=0)
         if adhesion >= k:
             raise ValueError("adhesion %d >= k=%d" % (adhesion, k))
+        ordered_nodes = sorted(self.nodes)
+        if ordered_nodes and len(self.reach(ordered_nodes[0])) != len(ordered_nodes):
+            raise ValueError("nodes in different trees")
         if table is None:
             table = leanness_table(enumerate_separations(g, k, budget=budget))
         bag_masks = {node: mask_of(bag) for node, bag in self.bags.items()}
-        ordered_nodes = sorted(self.nodes)
         path_min = {}
         order_of = itemgetter(0)
         for p in range(1, k + 1):
@@ -310,6 +319,17 @@ class TreeDecomposition:
                 bisect_left(table, p - 1, key=order_of) :
                 bisect_left(table, p, key=order_of)
             ]
+            if p > adhesion:
+                for s_node in ordered_nodes:
+                    vs = bag_masks[s_node]
+                    if vs.bit_count() <= p:
+                        continue
+                    for _, am, bm, sep, flipped in rows:
+                        if (am & vs).bit_count() >= p and (bm & vs).bit_count() >= p:
+                            if flipped:
+                                sep = sep.flip()
+                            return LeannessViolation(s_node, s_node, p, sep)
+                continue
             for s_node in ordered_nodes:
                 vs = bag_masks[s_node]
                 from_s = [
@@ -331,8 +351,6 @@ class TreeDecomposition:
                             if flipped:
                                 sep = sep.flip()
                             return LeannessViolation(s_node, t_node, p, sep)
-        if not path_min and ordered_nodes:  # no walk ran: still reject a forest
-            self._path_minima_from(ordered_nodes[0], order)
         return None
 
     # -- home nodes ----------------------------------------------------

@@ -28,9 +28,15 @@ class BudgetExceeded(TopstructError):
 
 
 class Budget:
-    """A work meter: ``limit`` units, of which ``spent`` are used."""
+    """A work meter: ``limit`` units, of which ``spent`` are used.
+
+    A negative limit is a usage error, raised before any work is done,
+    so no caller's result can depend on whether it charges the meter.
+    """
 
     def __init__(self, limit=DEFAULT_BUDGET):
+        if limit < 0:
+            raise ValueError("budget must be >= 0, got %s" % limit)
         self.limit = limit
         self.spent = 0
 

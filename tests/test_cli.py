@@ -170,6 +170,28 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["verify", other, td_path, "--k", "2", "--m", "4"]) == 64
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["decompose", "--k", "2", "--m", "4"],
+        ["verify", "--k", "2", "--m", "4"],
+        ["find", "--kind", "block", "--k", "2"],
+    ],
+)
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, command):
+    # a negative budget is refused by every subcommand, whether or not
+    # it charges the meter; a zero budget runs out wherever work is
+    # charged
+    gr = _write(tmp_path, "p5.gr", path_graph(5))
+    assert main(["decompose", "--k", "2", "--m", "4", gr]) == 0
+    capsys.readouterr()
+    files = [gr, gr[:-3] + ".td"] if command[0] == "verify" else [gr]
+    argv = command[:1] + files + command[1:]
+    assert main(argv + ["--budget", "-1"]) == 64
+    assert "budget must be >= 0" in capsys.readouterr().err
+    assert main(argv + ["--budget", "0"]) == 2
+
+
 def test_m_below_k_is_a_usage_error(tmp_path, capsys):
     # a K_3 model does not orient S_4, so (k, m) = (4, 3) is refused
     # before any run; this graph used to reach the subdivision exit and

@@ -396,10 +396,11 @@ def test_check_k_lean_needs_no_degenerate_row_and_no_lower_order():
     """The table of the proper separations and the order-(p - 1) slice
     give the violation of a scan over every directed row of order < p
     in all of S_k, on every decomposition the lean builder visits and on
-    the lean result with one tree edge contracted (where s and t
-    differ)."""
-    violations = across_nodes = 0
-    for k in (2, 3, 4):
+    the lean result with one tree edge contracted.  Both branches of the
+    check are covered: levels above the adhesion, where s = t, and
+    levels at or below it, where s and t can differ."""
+    diagonal = across_nodes = 0
+    for k in (2, 3, 4, 5):
         for g in small_corpus(80 + k, 25, 9):
             seps = enumerate_separations(g, k)
             table = leanness_table(seps)
@@ -412,10 +413,14 @@ def test_check_k_lean_needs_no_degenerate_row_and_no_lower_order():
                 want = _prefix_scan(td, k, every)
                 assert td.check_k_lean(g, k, table=every) == want
                 assert td.check_k_lean(g, k, table=table) == want
-                if want is not None:
-                    violations += 1
+                if want is None:
+                    continue
+                if want.p > td.adhesion():
+                    assert want.s == want.t
+                    diagonal += 1
+                else:
                     across_nodes += want.s != want.t
-    assert violations > 100 and across_nodes > 10
+    assert diagonal > 200 and across_nodes > 30
 
 
 def test_check_k_lean_rejects_a_forest():
@@ -429,11 +434,23 @@ def test_check_k_lean_rejects_a_forest():
             forest.check_k_lean(g, k)
 
 
+def test_check_k_lean_rejects_a_forest_with_a_violation_above_its_adhesion():
+    # the big bag of C6 holds a witness at level 3, above the adhesion,
+    # where no path minima are needed; the forest is rejected first
+    g = cycle_graph(6)
+    bags = {1: set(range(1, 7)), 2: {1}}
+    tree = TreeDecomposition({(1, 2)}, bags)
+    viol = tree.check_k_lean(g, 3)
+    assert (viol.s, viol.t, viol.p) == (1, 1, 3)
+    forest = TreeDecomposition(set(), bags)
+    with pytest.raises(ValueError, match="different trees"):
+        forest.check_k_lean(g, 3)
+
+
 def test_check_k_lean_walks_the_tree_only_from_candidate_nodes(monkeypatch):
-    """The check walks the tree once from each node s it reaches, in
-    (p, s) order, for which some row of order p - 1 has p vertices of
-    V_s on its A side; from the lowest node when there is none, which
-    still rejects a forest."""
+    """The check computes path minima only at levels p up to the
+    adhesion, once from each node s it reaches, in (p, s) order, for
+    which some row of order p - 1 has p vertices of V_s on its A side."""
     walks = []
     real = TreeDecomposition._path_minima_from
 
@@ -442,23 +459,29 @@ def test_check_k_lean_walks_the_tree_only_from_candidate_nodes(monkeypatch):
         return real(self, s, order)
 
     monkeypatch.setattr(TreeDecomposition, "_path_minima_from", counting)
-    skipped = 0
+    skipped = walked = 0
     for k in (2, 3, 4):
         for g in small_corpus(90 + k, 20, 9):
             seps = enumerate_separations(g, k)
             table = leanness_table(seps)
             tds = [TreeDecomposition.single_bag(g.vertices)]
             tds += [td for _, td in lean_step_trace(g, k, seps=seps)]
+            lean = tds[-1]
+            tds += [lean.contract_tree_edge(*e) for e in sorted(lean.tree_edges)]
             for td in tds:
                 walks.clear()
                 viol = td.check_k_lean(g, k, table=table)
                 last = (k, max(td.nodes)) if viol is None else (viol.p, viol.s)
+                adhesion = td.adhesion()
                 want = {
                     s
                     for s, bag in td.bags.items()
                     for order, am, _, _, _ in table
-                    if (order + 1, s) <= last and len(set_of(am) & bag) > order
-                } or {min(td.nodes)}
+                    if order < adhesion
+                    and (order + 1, s) <= last
+                    and len(set_of(am) & bag) > order
+                }
                 assert sorted(walks) == sorted(want)
                 skipped += len(td.nodes) - len(walks)
-    assert skipped > 20
+                walked += len(walks)
+    assert skipped > 200 and walked > 200
