@@ -250,19 +250,6 @@ class TreeDecomposition:
 
     # -- leanness ------------------------------------------------------
 
-    def _path_minima_from(self, s, order):
-        """{t: minimum edge order on the s-t tree path}, read in the visit
-        order of one ``reach`` from s, with ``order`` the order of each
-        tree edge; the path from s to itself has no edge and minimum
-        infinity."""
-        parent = self.reach(s)
-        if len(parent) != len(self.nodes):
-            raise ValueError("nodes in different trees")
-        low = {s: float("inf")}
-        for y, x in itertools.islice(parent.items(), 1, None):
-            low[y] = min(low[x], order[(min(x, y), max(x, y))])
-        return low
-
     def check_k_lean(self, g, k, budget=DEFAULT_BUDGET, *, table=None):
         """None iff k-lean; else the first violation in canonical order.
 
@@ -290,14 +277,14 @@ class TreeDecomposition:
         rows of order p - 1 is the first match among all rows of order
         < p.
 
-        A level p above the adhesion tests each bag only against
-        itself.  For s != t the s-t path has an edge, of order at most
-        the adhesion, so below p: only t = s can qualify.  And a row of
-        order p - 1 with p vertices of V_s on each side needs
-        |V_s| >= 2p - (p - 1) = p + 1, so smaller bags are skipped.  At
-        levels up to the adhesion, the path minima from a node s are
-        computed, by one ``reach`` from s, only once some row has p
-        vertices of V_s on its A side.  One walk up front rejects a
+        At level p, s and t qualify exactly when no edge of the s-t path
+        has order < p: when they lie in one part of the tree left by
+        deleting those edges.  Each level builds its parts by merging
+        along the edges of order >= p, one edge at a time; above the
+        adhesion every part is a single node.  A source s needs
+        |V_s| >= p, a target t != s needs |V_t| >= p, and t = s needs
+        |V_s| >= 2p - (p - 1) = p + 1, since a row of order p - 1 puts p
+        vertices of V_s on each side.  One walk up front rejects a
         forest before any level can return.
         """
         order = {
@@ -312,42 +299,30 @@ class TreeDecomposition:
         if table is None:
             table = leanness_table(enumerate_separations(g, k, budget=budget))
         bag_masks = {node: mask_of(bag) for node, bag in self.bags.items()}
-        path_min = {}
         order_of = itemgetter(0)
         for p in range(1, k + 1):
             rows = table[
                 bisect_left(table, p - 1, key=order_of) :
                 bisect_left(table, p, key=order_of)
             ]
-            if p > adhesion:
-                for s_node in ordered_nodes:
-                    vs = bag_masks[s_node]
-                    if vs.bit_count() <= p:
-                        continue
-                    for _, am, bm, sep, flipped in rows:
-                        if (am & vs).bit_count() >= p and (bm & vs).bit_count() >= p:
-                            if flipped:
-                                sep = sep.flip()
-                            return LeannessViolation(s_node, s_node, p, sep)
+            if not rows:
                 continue
+            part = {node: [node] for node in ordered_nodes}
+            for (a, b), o in order.items():
+                if o >= p:
+                    joined = sorted(part[a] + part[b])
+                    for node in joined:
+                        part[node] = joined
             for s_node in ordered_nodes:
                 vs = bag_masks[s_node]
-                from_s = [
-                    (bm, sep, flipped)
-                    for _, am, bm, sep, flipped in rows
-                    if (am & vs).bit_count() >= p
-                ]
-                if not from_s:
+                if vs.bit_count() < p:
                     continue
-                if s_node not in path_min:
-                    path_min[s_node] = self._path_minima_from(s_node, order)
-                reach = path_min[s_node]
-                for t_node in ordered_nodes:
-                    if reach[t_node] < p:
-                        continue
+                for t_node in part[s_node]:
                     vt = bag_masks[t_node]
-                    for bm, sep, flipped in from_s:
-                        if (bm & vt).bit_count() >= p:
+                    if vt.bit_count() < p + (t_node == s_node):
+                        continue
+                    for _, am, bm, sep, flipped in rows:
+                        if (am & vs).bit_count() >= p and (bm & vt).bit_count() >= p:
                             if flipped:
                                 sep = sep.flip()
                             return LeannessViolation(s_node, t_node, p, sep)

@@ -99,11 +99,6 @@ class BichromaticComponent(TopstructError):
     home node; the pipeline should have exited with a subdivision."""
 
 
-class UncoloredComponent(TopstructError):
-    """A component of T - F contains neither kind of home node and the
-    caller did not allow the blue default."""
-
-
 class PreconditionFailed(TopstructError):
     """An operation's stated precondition does not hold."""
 

@@ -17,7 +17,6 @@ from .errors import (
     Budget,
     CoverageImpossible,
     Indistinguishable,
-    UncoloredComponent,
 )
 from .lean import build_k_lean
 from .obstructions import (
@@ -164,11 +163,12 @@ def select_f(g, td, block_homes, model_homes):
 # -- coloring and contraction ------------------------------------------
 
 
-def color_nodes(td, f, block_homes, model_homes, default_blue=False):
+def color_nodes(td, f, block_homes, model_homes):
     """Color each component of T − F by the home-node kind it contains.
 
-    Components holding both kinds, or neither (without the blue
-    default), indicate an upstream invariant failure and raise.
+    A component holding neither kind is blue by default, and its nodes
+    are listed in ``Coloring.defaulted``.  A component holding both
+    kinds indicates an upstream invariant failure and raises.
     """
     f = {tuple(sorted(e)) for e in f}
     colors = {}
@@ -184,10 +184,6 @@ def color_nodes(td, f, block_homes, model_homes, default_blue=False):
                 "component %r holds both home-node kinds" % sorted(comp)
             )
         if not has_block and not has_model:
-            if not default_blue:
-                raise UncoloredComponent(
-                    "component %r holds no home node" % sorted(comp)
-                )
             defaulted.update(comp)
             color = "blue"
         else:
@@ -324,9 +320,7 @@ def run_structure(g, params, budget=DEFAULT_BUDGET):
         report.append(
             "F edge %d-%d order %d" % (e[0], e[1], td.edge_order(*e))
         )
-    coloring = color_nodes(
-        td, f, set(block_homes), set(model_homes), default_blue=True
-    )
+    coloring = color_nodes(td, f, set(block_homes), set(model_homes))
     if coloring.defaulted:
         report.append(
             "defaulted to blue (no home node): %s"

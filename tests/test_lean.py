@@ -25,7 +25,6 @@ from topstruct.graph import (
     path_graph,
     petersen_graph,
     random_graph,
-    set_of,
 )
 from topstruct.flows import disjoint_path_system
 from topstruct.lean import (
@@ -311,7 +310,8 @@ def test_check_k_lean_matches_definition():
     definition on every decomposition the lean builder visits, on exact
     decompositions of smaller adhesion, and on the lean result with one
     tree edge contracted: only these last give witnesses whose s and t
-    differ, which is where the path minima and flipped sides come in."""
+    differ, which is where the parts of the tree and flipped sides come
+    in."""
     violations = across_nodes = flipped = 0
     for k in (2, 3, 4):
         for g in small_corpus(40 + k, 25, 9):
@@ -396,9 +396,10 @@ def test_check_k_lean_needs_no_degenerate_row_and_no_lower_order():
     """The table of the proper separations and the order-(p - 1) slice
     give the violation of a scan over every directed row of order < p
     in all of S_k, on every decomposition the lean builder visits and on
-    the lean result with one tree edge contracted.  Both branches of the
-    check are covered: levels above the adhesion, where s = t, and
-    levels at or below it, where s and t can differ."""
+    the lean result with one tree edge contracted.  Violations at levels
+    above the adhesion, where every part of the tree is a single node
+    and s = t, and at levels up to it, where s and t can differ, are
+    both covered."""
     diagonal = across_nodes = 0
     for k in (2, 3, 4, 5):
         for g in small_corpus(80 + k, 25, 9):
@@ -425,8 +426,8 @@ def test_check_k_lean_needs_no_degenerate_row_and_no_lower_order():
 
 def test_check_k_lean_rejects_a_forest():
     # at k = 1 the connected P4 has no separation of order 0, so no
-    # path minimum is needed; at k = 2 ({1, 2}, {2, 3, 4}) starts a
-    # witness at node 1, which needs them
+    # level has a row to test; at k = 2 ({1, 2}, {2, 3, 4}) starts a
+    # witness at node 1, whose part the forest would cut short
     g = path_graph(4)
     forest = TreeDecomposition(set(), {1: {1, 2}, 2: {3, 4}})
     for k in (1, 2):
@@ -436,7 +437,7 @@ def test_check_k_lean_rejects_a_forest():
 
 def test_check_k_lean_rejects_a_forest_with_a_violation_above_its_adhesion():
     # the big bag of C6 holds a witness at level 3, above the adhesion,
-    # where no path minima are needed; the forest is rejected first
+    # where every part is a single node; the forest is rejected first
     g = cycle_graph(6)
     bags = {1: set(range(1, 7)), 2: {1}}
     tree = TreeDecomposition({(1, 2)}, bags)
@@ -447,41 +448,20 @@ def test_check_k_lean_rejects_a_forest_with_a_violation_above_its_adhesion():
         forest.check_k_lean(g, 3)
 
 
-def test_check_k_lean_walks_the_tree_only_from_candidate_nodes(monkeypatch):
-    """The check computes path minima only at levels p up to the
-    adhesion, once from each node s it reaches, in (p, s) order, for
-    which some row of order p - 1 has p vertices of V_s on its A side."""
-    walks = []
-    real = TreeDecomposition._path_minima_from
-
-    def counting(self, s, order):
-        walks.append(s)
-        return real(self, s, order)
-
-    monkeypatch.setattr(TreeDecomposition, "_path_minima_from", counting)
-    skipped = walked = 0
-    for k in (2, 3, 4):
-        for g in small_corpus(90 + k, 20, 9):
-            seps = enumerate_separations(g, k)
-            table = leanness_table(seps)
-            tds = [TreeDecomposition.single_bag(g.vertices)]
-            tds += [td for _, td in lean_step_trace(g, k, seps=seps)]
-            lean = tds[-1]
-            tds += [lean.contract_tree_edge(*e) for e in sorted(lean.tree_edges)]
-            for td in tds:
-                walks.clear()
-                viol = td.check_k_lean(g, k, table=table)
-                last = (k, max(td.nodes)) if viol is None else (viol.p, viol.s)
-                adhesion = td.adhesion()
-                want = {
-                    s
-                    for s, bag in td.bags.items()
-                    for order, am, _, _, _ in table
-                    if order < adhesion
-                    and (order + 1, s) <= last
-                    and len(set_of(am) & bag) > order
-                }
-                assert sorted(walks) == sorted(want)
-                skipped += len(td.nodes) - len(walks)
-                walked += len(walks)
-    assert skipped > 200 and walked > 200
+def test_check_k_lean_skips_only_bags_too_small_to_qualify():
+    """A source or a target t != s with exactly p vertices can still
+    hold a witness at level p; only t = s needs p + 1.  On each
+    decomposition below, the first violation starts or ends at a bag of
+    p = 1 vertex, so skipping such a bag returns a later pair."""
+    g = Graph.from_edges(4, [(1, 2), (1, 4)])
+    witness = Separation({1, 2, 4}, {3})
+    # target t = 2 has the one vertex 3
+    target = TreeDecomposition(
+        {(1, 3), (2, 3)}, {1: {1, 2}, 2: {3}, 3: {1, 3, 4}}
+    )
+    # source s = 1 has the one vertex 1
+    source = TreeDecomposition(
+        {(1, 2), (2, 3)}, {1: {1}, 2: {1, 2}, 3: {1, 3, 4}}
+    )
+    for td, pair in [(target, (1, 2)), (source, (1, 3))]:
+        assert td.check_k_lean(g, 2) == LeannessViolation(*pair, 1, witness)

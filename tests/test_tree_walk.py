@@ -16,7 +16,6 @@ from topstruct.decomposition import TreeDecomposition
 from topstruct.errors import (
     BichromaticComponent,
     NotASubtree,
-    UncoloredComponent,
 )
 from topstruct.graph import Graph
 from topstruct.pipeline import color_nodes
@@ -146,23 +145,6 @@ def test_tree_path_is_a_shortest_simple_path():
                 assert td.min_order_on_path(s, t) == low
 
 
-def test_path_minima_on_trees_and_forests():
-    for _, ids, edges, td in _cases(5, 200, kinds=("tree", "forest")):
-        order = _order(td)
-        for s in ids:
-            if brute_closure(s, edges, ids) != set(ids):
-                with pytest.raises(ValueError):
-                    td._path_minima_from(s, order)
-                continue
-            expected = {}
-            for t in ids:
-                (path,) = _simple_paths(edges, s, t)
-                expected[t] = min(
-                    _orders_along(order, path), default=float("inf")
-                )
-            assert td._path_minima_from(s, order) == expected
-
-
 def test_validate_subtree_condition():
     seen = set()
     for rng, ids, edges, td in _cases(6, 300):
@@ -217,20 +199,14 @@ def test_color_nodes_components_of_t_minus_f():
             rng.choice(sorted(c)) for c in comps if kind[min(c)] == "red"
         }
         homeless = set().union(*(c for c in comps if kind[min(c)] is None))
-        coloring = color_nodes(
-            td, f, block_homes, model_homes, default_blue=True
-        )
+        coloring = color_nodes(td, f, block_homes, model_homes)
         assert coloring.defaulted == homeless
         for c in comps:
             for x in c:
                 assert coloring.color[x] == (kind[min(c)] or "blue")
-        if homeless:
-            with pytest.raises(UncoloredComponent):
-                color_nodes(td, f, block_homes, model_homes)
         if block_homes:
             c = next(c for c in comps if c & block_homes)
             with pytest.raises(BichromaticComponent):
                 color_nodes(
-                    td, f, block_homes, model_homes | {rng.choice(sorted(c))},
-                    default_blue=True,
+                    td, f, block_homes, model_homes | {rng.choice(sorted(c))}
                 )
