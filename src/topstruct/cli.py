@@ -40,8 +40,10 @@ def _params_from_args(args):
 
 
 def write_dot(td, coloring=None):
-    """DOT rendering: filled red/blue nodes, edges labeled by separator size."""
-    colors = coloring.color if coloring is not None else {}
+    """DOT rendering: filled red/blue nodes, edges labeled by separator
+    size.  Like ``write_td``, nodes are renumbered 1..N and ``coloring``
+    maps each node to "red" or "blue"."""
+    td, colors = renumbered(td, coloring or {})
     fills = {"red": "lightcoral", "blue": "lightblue"}
     lines = ["graph decomposition {", "  node [style=filled];"]
     for t in sorted(td.nodes):
@@ -81,9 +83,8 @@ def cmd_decompose(args):
     else:
         colors = result.coloring.color if result.coloring else {}
         if args.format == "dot":
-            td, cmap = renumbered(result.decomposition, colors)
             with open(base + ".dot", "w") as fh:
-                fh.write(write_dot(td, Coloring(cmap, frozenset())))
+                fh.write(write_dot(result.decomposition, colors))
         else:
             with open(base + ".td", "w") as fh:
                 fh.write(write_td(result.decomposition, g.n, colors))

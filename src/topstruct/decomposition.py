@@ -8,7 +8,7 @@ value.  Every walk of the tree is one ``TreeDecomposition.reach``.
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -33,30 +33,6 @@ class LeannessViolation:
     t: int
     p: int
     witness: Separation
-
-
-def leanness_table(seps):
-    """Directed rows ``(order, A-mask, B-mask, separation, flipped)`` of
-    the separations in S_k that can witness a leanness violation.
-
-    ``seps`` comes as ``enumerate_separations`` returns it: the proper
-    members of S_k, canonical, ascending by ``Separation.sort_key``.
-    Those are the only possible witnesses: the thin side of (V, X) or
-    (V, V) is X itself, and a witness needs p > |X| of a bag's vertices
-    on each side.  The masks are the separation's own, read without
-    building a vertex set.  Each separation's row is followed by its
-    flip's, so the rows ascend by (order, sort_key) and
-    ``TreeDecomposition.check_k_lean`` can stop at its first match.  A
-    flip's row holds the canonical separation with ``flipped`` set; only
-    the row a check returns is turned into ``separation.flip()``.
-    """
-    rows = []
-    for s in seps:
-        am, bm = s.mask_a, s.mask_b
-        order = (am & bm).bit_count()
-        rows.append((order, am, bm, s, False))
-        rows.append((order, bm, am, s, True))
-    return rows
 
 
 class TreeDecomposition:
@@ -250,7 +226,7 @@ class TreeDecomposition:
 
     # -- leanness ------------------------------------------------------
 
-    def check_k_lean(self, g, k, budget=DEFAULT_BUDGET, *, table=None):
+    def check_k_lean(self, g, k, budget=DEFAULT_BUDGET, *, seps=None):
         """None iff k-lean; else the first violation in canonical order.
 
         Order: smallest p, then lexicographic (s, t), then the witness of
@@ -258,24 +234,26 @@ class TreeDecomposition:
         adhesion < k, and raises ``ValueError`` when the tree is not
         connected.
 
-        ``table`` is ``leanness_table(enumerate_separations(g, k))``; a
-        caller that checks many decompositions of one graph builds it
-        once, and without it the check builds its own.  It holds both
-        directions of every proper separation of order < k; the
-        degenerate ones, (V, X) and (V, V), cannot be witnesses (see
-        ``leanness_table``).  The table's rows ascend by (order,
-        sort_key), each separation just before its flip, which shares
-        its key.  So for each (p, s, t) the first row of order < p with
+        ``seps`` is S_k(g) as ``enumerate_separations(g, k)`` returns
+        it; a caller that checks many decompositions of one graph
+        enumerates it once, and without it the check enumerates its own.
+        It must ascend by ``order``, since each level is a slice of it
+        found by bisection, and within an order by ``sort_key``.  Its
+        proper members are the only possible witnesses: the thin side of
+        (V, X) or (V, V) is X itself, and a witness needs p > |X| of a
+        bag's vertices on each side.  Each separation is tested in its
+        own direction, then in its flip's, which shares its sort_key; so
+        for each (p, s, t) the first match of order < p with
         |A ∩ V_s| >= p and |B ∩ V_t| >= p is the minimum witness.
 
-        Level p scans only the rows of order exactly p - 1.  Suppose a
-        row of order o < p - 1 qualified at (p, s, t).  Then it would
-        also qualify at (o + 1, s, t): o + 1 <= p, and p is at most the
-        path minimum, |A ∩ V_s| and |B ∩ V_t|.  So the check would have
-        returned at level o + 1 already.  Reaching level p, no row of
-        order < p - 1 qualifies there, and the first match among the
-        rows of order p - 1 is the first match among all rows of order
-        < p.
+        Level p tests only the separations of order exactly p - 1.
+        Suppose one of order o < p - 1 qualified at (p, s, t).  Then it
+        would also qualify at (o + 1, s, t): o + 1 <= p, and p is at
+        most the path minimum, |A ∩ V_s| and |B ∩ V_t|.  So the check
+        would have returned at level o + 1 already.  Reaching level p,
+        none of order < p - 1 qualifies there, and the first match
+        among those of order p - 1 is the first match among all of
+        order < p.
 
         At level p, s and t qualify exactly when no edge of the s-t path
         has order < p: when they lie in one part of the tree left by
@@ -283,9 +261,9 @@ class TreeDecomposition:
         along the edges of order >= p, one edge at a time; above the
         adhesion every part is a single node.  A source s needs
         |V_s| >= p, a target t != s needs |V_t| >= p, and t = s needs
-        |V_s| >= 2p - (p - 1) = p + 1, since a row of order p - 1 puts p
-        vertices of V_s on each side.  One walk up front rejects a
-        forest before any level can return.
+        |V_s| >= 2p - (p - 1) = p + 1, since a separation of order
+        p - 1 puts p vertices of V_s on each side.  One walk up front
+        rejects a forest before any level can return.
         """
         order = {
             (s, t): len(self.bags[s] & self.bags[t]) for s, t in self.tree_edges
@@ -296,16 +274,16 @@ class TreeDecomposition:
         ordered_nodes = sorted(self.nodes)
         if ordered_nodes and len(self.reach(ordered_nodes[0])) != len(ordered_nodes):
             raise ValueError("nodes in different trees")
-        if table is None:
-            table = leanness_table(enumerate_separations(g, k, budget=budget))
+        if seps is None:
+            seps = enumerate_separations(g, k, budget=budget)
         bag_masks = {node: mask_of(bag) for node, bag in self.bags.items()}
-        order_of = itemgetter(0)
+        order_of = attrgetter("order")
         for p in range(1, k + 1):
-            rows = table[
-                bisect_left(table, p - 1, key=order_of) :
-                bisect_left(table, p, key=order_of)
+            level = seps[
+                bisect_left(seps, p - 1, key=order_of) :
+                bisect_left(seps, p, key=order_of)
             ]
-            if not rows:
+            if not level:
                 continue
             part = {node: [node] for node in ordered_nodes}
             for (a, b), o in order.items():
@@ -321,11 +299,12 @@ class TreeDecomposition:
                     vt = bag_masks[t_node]
                     if vt.bit_count() < p + (t_node == s_node):
                         continue
-                    for _, am, bm, sep, flipped in rows:
+                    for sep in level:
+                        am, bm = sep.mask_a, sep.mask_b
                         if (am & vs).bit_count() >= p and (bm & vt).bit_count() >= p:
-                            if flipped:
-                                sep = sep.flip()
                             return LeannessViolation(s_node, t_node, p, sep)
+                        if (bm & vs).bit_count() >= p and (am & vt).bit_count() >= p:
+                            return LeannessViolation(s_node, t_node, p, sep.flip())
         return None
 
     # -- home nodes ----------------------------------------------------
@@ -336,16 +315,16 @@ class TreeDecomposition:
         for s, t in self.tree_edges:
             sep = self.induced_separation(s, t)
             w = orientation.w_side(sep)
-            if sep.side_a == sep.side_b:
+            if sep.mask_a == sep.mask_b:
                 # degenerate (B, B) edge carries no information
                 outdeg[s] += 1
                 continue
-            if w == sep.side_b:
+            if w == sep.mask_b:
                 outdeg[s] += 1
-            elif w == sep.side_a:
+            elif w == sep.mask_a:
                 outdeg[t] += 1
             else:
-                raise InconsistentOrientation("w_side returned a foreign set")
+                raise InconsistentOrientation("w_side returned a foreign side")
         sinks = [node for node, d in outdeg.items() if d == 0]
         if len(sinks) != 1:
             raise InconsistentOrientation("no unique sink: %r" % (sorted(sinks),))

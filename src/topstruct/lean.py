@@ -12,7 +12,7 @@ decomposition of genuinely minimum fatness among all decompositions of
 adhesion < k by exhaustive dynamic programming.
 """
 
-from .decomposition import TreeDecomposition, leanness_table
+from .decomposition import TreeDecomposition
 from .errors import DEFAULT_BUDGET, Budget, InvariantViolation, NotAViolation
 from .flows import disjoint_path_system
 from .graph import bits, mask_of, set_of
@@ -151,24 +151,23 @@ def lean_step_trace(g, k, budget=DEFAULT_BUDGET, *, seps=None):
     exchange.
 
     g never changes, so S_k(g) is enumerated once (unless the caller
-    passes it as ``seps``) and turned once into the directed table that
-    every ``check_k_lean`` step scans: both directions of each
-    separation with two non-empty exclusive sides (no other can be a
-    witness), ascending by (order, sort_key), each separation just
-    before its flip.  In that order a step's first matching row is its
-    minimum witness.  Each exchange step costs one unit of ``budget``;
-    the loop ends regardless, since every step strictly lowers the
-    fatness (``improvement_step`` raises otherwise).
+    passes it as ``seps``), and every ``check_k_lean`` step reads that
+    one list as its ``seps``: the separations with two non-empty
+    exclusive sides (no other can be a witness), ascending by
+    (order, sort_key), each tested in its own direction and then in its
+    flip's.  In that order a step's first match is its minimum witness.
+    Each exchange step costs one unit of ``budget``; the loop ends
+    regardless, since every step strictly lowers the fatness
+    (``improvement_step`` raises otherwise).
     """
     if k < 1:
         raise ValueError("k must be positive")
     budget = Budget.of(budget)
     if seps is None:
         seps = enumerate_separations(g, k, budget=budget)
-    table = leanness_table(seps)
     td = TreeDecomposition.single_bag(g.vertices)
     while True:
-        viol = td.check_k_lean(g, k, table=table)
+        viol = td.check_k_lean(g, k, seps=seps)
         if viol is None:
             return
         budget.charge("lean builder")

@@ -444,9 +444,9 @@ class BlockOrientation(Orientation):
         if in_a and in_b:
             raise InvariantViolation("block inside a separator smaller than k")
         if in_b:
-            return s.side_b
+            return s.mask_b
         if in_a:
-            return s.side_a
+            return s.mask_a
         raise InvariantViolation("block split by a separation of order < k")
 
 
@@ -471,7 +471,7 @@ class ModelOrientation(Orientation):
                 continue
             if x & only_a and x & only_b:
                 raise InvariantViolation("untouched branch set crosses sides")
-            here = s.side_a if x & only_a else s.side_b
+            here = s.mask_a if x & only_a else s.mask_b
             if side is None:
                 side = here
             elif side != here:

@@ -17,49 +17,41 @@ class Separation:
     """An ordered pair (A, B) of vertex sets, held as two vertex masks.
 
     Bit v of ``mask_a`` stands for vertex v of A, as in the kernels.
-    Equality and hash use the masks, which is the same as comparing the
-    sides.  ``side_a``, ``side_b`` and ``separator`` are frozensets,
-    built on first use; the enumerator and every consumer of S_k read
-    the masks and never build them.  ``Separation(a, b)`` takes any two
-    collections of vertices.  Instances are hashed, so treat them as
-    immutable.
+    ``order`` is |A ∩ B|, stored with the masks: the leanness check
+    slices S_k by it.  Equality and hash use the masks, which is the
+    same as comparing the sides.  ``side_a``, ``side_b`` and
+    ``separator`` are frozensets built anew on each use; the enumerator,
+    the orientations and every consumer of S_k read the masks and never
+    build them.  ``Separation(a, b)`` takes any two collections of
+    vertices.  Instances are hashed, so treat them as immutable.
     """
 
-    __slots__ = ("mask_a", "mask_b", "_side_a", "_side_b")
+    __slots__ = ("mask_a", "mask_b", "order")
 
     def __init__(self, side_a, side_b):
-        self._side_a = frozenset(side_a)
-        self._side_b = frozenset(side_b)
-        self.mask_a = mask_of(self._side_a)
-        self.mask_b = mask_of(self._side_b)
+        self.mask_a = mask_of(side_a)
+        self.mask_b = mask_of(side_b)
+        self.order = (self.mask_a & self.mask_b).bit_count()
 
     @classmethod
     def _of_masks(cls, mask_a, mask_b):
         s = cls.__new__(cls)
         s.mask_a = mask_a
         s.mask_b = mask_b
-        s._side_a = s._side_b = None
+        s.order = (mask_a & mask_b).bit_count()
         return s
 
     @property
     def side_a(self):
-        if self._side_a is None:
-            self._side_a = frozenset(bits(self.mask_a))
-        return self._side_a
+        return frozenset(bits(self.mask_a))
 
     @property
     def side_b(self):
-        if self._side_b is None:
-            self._side_b = frozenset(bits(self.mask_b))
-        return self._side_b
+        return frozenset(bits(self.mask_b))
 
     @property
     def separator(self):
         return frozenset(bits(self.mask_a & self.mask_b))
-
-    @property
-    def order(self):
-        return (self.mask_a & self.mask_b).bit_count()
 
     def __eq__(self, other):
         if not isinstance(other, Separation):
@@ -73,9 +65,7 @@ class Separation:
         return "Separation(side_a=%r, side_b=%r)" % (self.side_a, self.side_b)
 
     def flip(self):
-        s = Separation._of_masks(self.mask_b, self.mask_a)
-        s._side_a, s._side_b = self._side_b, self._side_a
-        return s
+        return Separation._of_masks(self.mask_b, self.mask_a)
 
     def canonical(self):
         """Sides ordered lexicographically by smallest exclusive vertex."""
@@ -176,8 +166,8 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
     ``pipeline.run_structure`` needs them:
 
     - a leanness witness needs p > |X| vertices of a bag on its thin
-      side, which for (V, X) is X itself, so ``leanness_table`` would
-      give it no row;
+      side, which for (V, X) is X itself, so
+      ``TreeDecomposition.check_k_lean`` can never match it;
     - the k-block relation splits the pairs across the exclusive sides,
       and (V, X) has an empty one;
     - in ``obstructions.orientations_agree``, a k-block has at least k
@@ -234,9 +224,11 @@ def degenerate_separations(g, max_order):
 class Orientation:
     """One direction per separation pair of S_k(G).
 
-    Concrete classes answer ``w_side(separation)``: the side W such that
-    (U, W) is the member of the orientation, for any separation of order
-    below k.
+    Concrete classes answer ``w_side(separation)``: the vertex mask of
+    the side W such that (U, W) is the member of the orientation, for
+    any separation of order below k.  W is one of the separation's own
+    sides, so an answer is ``mask_a`` or ``mask_b`` and compares as an
+    int.
     """
 
     def __init__(self, k):
@@ -247,7 +239,7 @@ class Orientation:
 
 
 class ExplicitOrientation(Orientation):
-    """Orientation materialized as a map canonical-separation -> W side."""
+    """Orientation materialized as a map canonical separation -> W mask."""
 
     def __init__(self, k, choices):
         super().__init__(k)
@@ -255,18 +247,16 @@ class ExplicitOrientation(Orientation):
 
     @staticmethod
     def from_w_sides(k, pairs):
-        choices = {}
-        for s, w in pairs:
-            c = s.canonical()
-            choices[(c.side_a, c.side_b)] = frozenset(w)
-        return ExplicitOrientation(k, choices)
+        """From (separation, W) pairs, W given as a vertex collection."""
+        return ExplicitOrientation(
+            k, {s.canonical(): mask_of(w) for s, w in pairs}
+        )
 
     def w_side(self, s):
         if s.order >= self.k:
             raise SeparationDoesNotDecide("order %d >= k=%d" % (s.order, self.k))
-        c = s.canonical()
         try:
-            return self.choices[(c.side_a, c.side_b)]
+            return self.choices[s.canonical()]
         except KeyError:
             raise SeparationDoesNotDecide("separation not in explicit table")
 
@@ -282,7 +272,7 @@ def orientation_is_consistent(g, orientation, budget=DEFAULT_BUDGET):
     seps += degenerate_separations(g, k)
     members = []
     for s in seps:
-        w = mask_of(orientation.w_side(s))
+        w = orientation.w_side(s)
         members.append((s.mask_a if w == s.mask_b else s.mask_b, w))
     for i, (a, b) in enumerate(members):
         for j, (c, d) in enumerate(members):

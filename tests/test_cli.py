@@ -87,10 +87,24 @@ def test_dot_output(tmp_path):
     )
     gr = _write(tmp_path, "subk4.gr", sub_k4)
     assert main(["decompose", "--k", "4", "--m", "4", "--format", "dot", gr]) == 0
-    dot = (tmp_path / "subk4.dot").read_text()
-    assert dot.startswith("graph decomposition {")
-    assert "--" in dot
-    assert "lightcoral" in dot
+    assert (tmp_path / "subk4.dot").read_text() == (
+        "graph decomposition {\n"
+        "  node [style=filled];\n"
+        '  n1 [label="1: 1 2 3 4", fillcolor=lightcoral];\n'
+        '  n2 [label="2: 3 4 10", fillcolor=lightcoral];\n'
+        '  n3 [label="3: 2 4 9", fillcolor=lightcoral];\n'
+        '  n4 [label="4: 2 3 8", fillcolor=lightcoral];\n'
+        '  n5 [label="5: 1 4 7", fillcolor=lightcoral];\n'
+        '  n6 [label="6: 1 3 6", fillcolor=lightcoral];\n'
+        '  n7 [label="7: 1 2 5", fillcolor=lightcoral];\n'
+        '  n1 -- n2 [label="2"];\n'
+        '  n1 -- n3 [label="2"];\n'
+        '  n1 -- n4 [label="2"];\n'
+        '  n1 -- n5 [label="2"];\n'
+        '  n1 -- n6 [label="2"];\n'
+        '  n1 -- n7 [label="2"];\n'
+        "}\n"
+    )
 
 
 def test_find_commands(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import (
     brute_menger,
-    degenerate_members,
     full_s_k,
     small_corpus,
 )
@@ -13,7 +12,6 @@ from conftest import (
 from topstruct.decomposition import (
     LeannessViolation,
     TreeDecomposition,
-    leanness_table,
     write_td,
 )
 from topstruct.errors import Budget, BudgetExceeded, NotAViolation
@@ -330,49 +328,9 @@ def test_check_k_lean_matches_definition():
     assert violations > 100 and across_nodes > 10 and flipped > 3
 
 
-def test_leanness_table_holds_both_directions_of_proper_separations():
-    """S_k comes without the separations with an empty exclusive side,
-    (V, X) and (V, V), and the table keeps both directions of every
-    other one, ascending by (order, sort_key), each just before its
-    flip."""
-    dropped = 0
-    for k in (2, 3, 4):
-        for g in small_corpus(60 + k, 30, 9):
-            seps = enumerate_separations(g, k)
-            rows = leanness_table(seps)
-            dropped += len(degenerate_members(g, k))
-            want = []
-            for sep in seps:
-                assert not sep.side_a <= sep.side_b
-                assert not sep.side_b <= sep.side_a
-                want += [sep, sep.flip()]
-            got = []
-            for order, am, bm, sep, flipped in rows:
-                assert am & ~bm and bm & ~am
-                directed = sep.flip() if flipped else sep
-                assert (directed.mask_a, directed.mask_b) == (am, bm)
-                assert order == directed.order
-                got.append(directed)
-            assert got == want
-            keys = [(sep.order, sep.sort_key()) for sep in got]
-            assert keys == sorted(keys)
-    assert dropped > 100
-
-
-def _every_directed_row(seps):
-    """Both directions of every separation in S_k, (V, X) and (V, V)
-    included, in the row layout of ``leanness_table``."""
-    rows = []
-    for sep in seps:
-        am, bm = sep.mask_a, sep.mask_b
-        rows.append((sep.order, am, bm, sep, False))
-        if am != bm:
-            rows.append((sep.order, bm, am, sep, True))
-    return rows
-
-
-def _prefix_scan(td, k, rows):
-    """The leanness check scanning, at level p, every row of order < p."""
+def _prefix_scan(td, k, seps):
+    """The leanness check scanning, at level p, both directions of every
+    separation of order < p, each in its own direction first."""
     bags = {node: sum(1 << v for v in bag) for node, bag in td.bags.items()}
     nodes = sorted(td.nodes)
     for p in range(1, k + 1):
@@ -380,40 +338,39 @@ def _prefix_scan(td, k, rows):
             for t in nodes:
                 if s != t and td.min_order_on_path(s, t) < p:
                     continue
-                for order, am, bm, sep, flipped in rows:
-                    if (
-                        order < p
-                        and (am & bags[s]).bit_count() >= p
-                        and (bm & bags[t]).bit_count() >= p
-                    ):
-                        return LeannessViolation(
-                            s, t, p, sep.flip() if flipped else sep
-                        )
+                for sep in seps:
+                    if sep.order >= p:
+                        continue
+                    for directed in (sep, sep.flip()):
+                        if (
+                            (directed.mask_a & bags[s]).bit_count() >= p
+                            and (directed.mask_b & bags[t]).bit_count() >= p
+                        ):
+                            return LeannessViolation(s, t, p, directed)
     return None
 
 
 def test_check_k_lean_needs_no_degenerate_row_and_no_lower_order():
-    """The table of the proper separations and the order-(p - 1) slice
-    give the violation of a scan over every directed row of order < p
-    in all of S_k, on every decomposition the lean builder visits and on
-    the lean result with one tree edge contracted.  Violations at levels
-    above the adhesion, where every part of the tree is a single node
-    and s = t, and at levels up to it, where s and t can differ, are
-    both covered."""
+    """The proper separations and the order-(p - 1) slice give the
+    violation of a scan over both directions of every separation of
+    order < p in all of S_k, on every decomposition the lean builder
+    visits and on the lean result with one tree edge contracted.
+    Violations at levels above the adhesion, where every part of the
+    tree is a single node and s = t, and at levels up to it, where s
+    and t can differ, are both covered."""
     diagonal = across_nodes = 0
     for k in (2, 3, 4, 5):
         for g in small_corpus(80 + k, 25, 9):
             seps = enumerate_separations(g, k)
-            table = leanness_table(seps)
-            every = _every_directed_row(full_s_k(g, k))
+            every = full_s_k(g, k)
             tds = [TreeDecomposition.single_bag(g.vertices)]
             tds += [td for _, td in lean_step_trace(g, k, seps=seps)]
             lean = tds[-1]
             tds += [lean.contract_tree_edge(*e) for e in sorted(lean.tree_edges)]
             for td in tds:
                 want = _prefix_scan(td, k, every)
-                assert td.check_k_lean(g, k, table=every) == want
-                assert td.check_k_lean(g, k, table=table) == want
+                assert td.check_k_lean(g, k, seps=every) == want
+                assert td.check_k_lean(g, k, seps=seps) == want
                 if want is None:
                     continue
                 if want.p > td.adhesion():
@@ -426,7 +383,7 @@ def test_check_k_lean_needs_no_degenerate_row_and_no_lower_order():
 
 def test_check_k_lean_rejects_a_forest():
     # at k = 1 the connected P4 has no separation of order 0, so no
-    # level has a row to test; at k = 2 ({1, 2}, {2, 3, 4}) starts a
+    # level has a separation to test; at k = 2 ({1, 2}, {2, 3, 4}) starts a
     # witness at node 1, whose part the forest would cut short
     g = path_graph(4)
     forest = TreeDecomposition(set(), {1: {1, 2}, 2: {3, 4}})

@@ -51,6 +51,7 @@ from topstruct.separations import (
     enumerate_separations,
     orientation_is_consistent,
 )
+from topstruct.lean import build_k_lean
 from topstruct.verifier import minor_oracle, verify_subdivision
 
 
@@ -317,7 +318,7 @@ def test_block_orientation_directions():
     b = blocks[0]
     o = BlockOrientation(2, b)
     s = Separation({1, 2}, {2, 3})
-    assert o.w_side(s) == s.side_a
+    assert o.w_side(s) == s.mask_a
     with pytest.raises(SeparationDoesNotDecide):
         o.w_side(Separation({1, 2, 3}, {2, 3}))
     split = Block(frozenset({1, 3}), 2)
@@ -330,7 +331,7 @@ def test_model_orientation_directions():
     model = find_clique_model(g, 2, require_meet={3, 4})
     o = ModelOrientation(2, model)
     s = Separation({1, 2}, {2, 3, 4})
-    assert o.w_side(s) == s.side_b
+    assert o.w_side(s) == s.mask_b
     with pytest.raises(SeparationDoesNotDecide):
         o.w_side(Separation({1, 2, 3, 4}, {3, 4}))  # order 2 >= k
 
@@ -348,6 +349,56 @@ def test_induced_orientations_consistent():
             assert orientation_is_consistent(
                 g, ModelOrientation(k, model)
             )
+
+
+def test_s_k_consumers_read_only_masks(monkeypatch):
+    """The leanness check, the k-block relation, block homes and both
+    orientation comparisons read each separation's masks and order, and
+    never build one of its vertex sets.  The lean decompositions are
+    built first: the exchange step does build the witness's sides."""
+    k = 3
+    cases = []
+    for g in small_corpus(5, 60, 9):
+        seps = enumerate_separations(g, k)
+        cases.append((g, seps, build_k_lean(g, k, seps=seps)))
+
+    def built(self):
+        raise AssertionError("vertex set built")
+
+    for name in ("side_a", "side_b", "separator"):
+        monkeypatch.setattr(Separation, name, property(built))
+    checked = 0
+    for g, seps, td in cases:
+        orientations = [
+            BlockOrientation(k, b) for b in find_k_blocks(g, k, seps=seps)
+        ]
+        for o in orientations:
+            assert o.vertices <= td.bags[td.home_node(o)]
+            # distinct k-blocks are split by a separation of order < k
+            assert orientations_agree(
+                g, k, orientations[0], o, seps=seps
+            ) == (o is orientations[0])
+            assert orientation_is_consistent(g, o)
+            checked += 1
+        assert td.check_k_lean(g, k, seps=seps) is None
+    assert checked > 40
+
+
+def test_block_home_is_the_node_whose_bag_holds_the_block():
+    """On a k-lean decomposition every adhesion set has fewer than k
+    vertices, so a k-block, of at least k, lies in exactly one bag, and
+    that bag's node is the block's home."""
+    blocks = 0
+    for k in (2, 3, 4):
+        for g in small_corpus(90 + k, 60, 10):
+            td = build_k_lean(g, k)
+            for b in find_k_blocks(g, k):
+                holders = [
+                    t for t in sorted(td.nodes) if b.vertices <= td.bags[t]
+                ]
+                assert holders == [td.home_node(BlockOrientation(k, b))]
+                blocks += 1
+    assert blocks > 150
 
 
 # -- the pairwise-cut characterization ------------------------------------

@@ -139,9 +139,10 @@ def test_enumerate_separations_complete_against_brute_force():
 
 
 def test_enumeration_contract():
-    """What the leanness table relies on: canonical elements, each once,
-    in sort_key order, none with an empty exclusive side; and, with the
-    degenerate members added, exactly S_k."""
+    """What the leanness check relies on: canonical elements, each once,
+    in sort_key order (so ascending by order), none with an empty
+    exclusive side; and, with the degenerate members added, exactly
+    S_k."""
     rng = random.Random(31)
     for _ in range(40):
         n = rng.randint(0, 7)
@@ -263,8 +264,8 @@ def test_explicit_orientation():
     g = path_graph(3)
     s = Separation({1, 2}, {2, 3})
     o = ExplicitOrientation.from_w_sides(2, [(s, s.side_b)])
-    assert o.w_side(s) == s.side_b
-    assert o.w_side(s.flip()) == s.side_b
+    assert o.w_side(s) == s.mask_b
+    assert o.w_side(s.flip()) == s.mask_b
     with pytest.raises(SeparationDoesNotDecide):
         o.w_side(Separation({1, 2, 3}, {2, 3}))  # order 2 >= k
     with pytest.raises(SeparationDoesNotDecide):
