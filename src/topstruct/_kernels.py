@@ -7,8 +7,9 @@ loops of every search in the package.
 
 ``_max_flow`` is the package's only max-flow.  ``max_disjoint_paths``
 returns its value; ``_path_system`` reads a path system and a minimum
-separator from its residual network for ``flows``.  Only this module
-knows the network's layout.
+separator from its residual network for ``flows``, and skips the network
+when no path can be augmented.  Only this module knows the network's
+layout.
 
 The kernels never call one another through the four kernel names
 (``reachable``, ``components``, ``is_connected``,
@@ -89,8 +90,18 @@ def _path_system(adj, n, src, dst, allowed):
     flow-carrying ``src`` vertex in ascending order, and as a mask the
     vertices whose in-node the last search reached but whose out-node
     it did not, plus the shared vertices.
+
+    When every vertex of ``src & allowed`` is in ``dst``, or every
+    vertex of ``dst & allowed`` is in ``src``, the network has no source
+    arc or no sink arc.  Then nothing augments, and the search reaches
+    the out-node of every in-node it reaches, so the cut is empty: the
+    answer is the shared vertices alone, one trivial path each.  It is
+    returned before the network is built.
     """
-    _, shared, cap, prev = _max_flow(adj, n, src, dst, allowed)
+    shared = src & dst & allowed
+    if not src & allowed & ~dst or not dst & allowed & ~src:
+        return [(v,) for v in bits(shared)], shared
+    _, _, cap, prev = _max_flow(adj, n, src, dst, allowed)
     # The residual capacity cap[y][x] of a reverse arc is the flow on x -> y.
     paths = []
     for v in bits(src & allowed):

@@ -5,12 +5,22 @@ applies the classical exchange step to the first leanness violation;
 every step strictly decreases the fatness of the decomposition, so the
 loop terminates.  The first violation's witness has minimum order, so
 the exchange needs no shrinking: it takes one disjoint path system per
-side from ``flows`` and builds the new bags as vertex masks.
+side from ``flows`` and builds the new bags as vertex masks.  It works
+on masks from start to finish: the witness's sides, the bags, the
+paths and the separator.
+
+Nearly every path system the step asks for is made of shared vertices
+only: the separator already lies in the bag it is routed to, and the
+kernel answers without a flow network.  The flow stays, since a
+separator vertex outside its bag needs a real path, and the path the
+flow picks decides the new bags.
 
 ``build_k_atomic_exact`` is the tiny-instance oracle: it finds a
 decomposition of genuinely minimum fatness among all decompositions of
 adhesion < k by exhaustive dynamic programming.
 """
+
+from bisect import bisect_left
 
 from .decomposition import TreeDecomposition
 from .errors import DEFAULT_BUDGET, Budget, InvariantViolation, NotAViolation
@@ -19,7 +29,7 @@ from .graph import bits, mask_of, set_of
 from .separations import enumerate_separations, is_mask_separation
 
 
-def _violation_is_genuine(g, td, viol):
+def _violation_is_genuine(g, td, viol, bag_masks):
     if viol.s not in td.nodes or viol.t not in td.nodes:
         return False
     w = viol.witness
@@ -30,8 +40,8 @@ def _violation_is_genuine(g, td, viol):
     if viol.s != viol.t and td.min_order_on_path(viol.s, viol.t) < viol.p:
         return False
     return (
-        (w.mask_a & mask_of(td.bags[viol.s])).bit_count() >= viol.p
-        and (w.mask_b & mask_of(td.bags[viol.t])).bit_count() >= viol.p
+        (w.mask_a & bag_masks[viol.s]).bit_count() >= viol.p
+        and (w.mask_b & bag_masks[viol.t]).bit_count() >= viol.p
     )
 
 
@@ -50,33 +60,44 @@ def improvement_step(g, td, viol):
     and all of V_t ∩ B on its second: a witness at level |S| + 1 < p,
     which the check would have returned first.  The B side is symmetric.
 
+    Mostly X lies inside the bag it is routed to, so the path system is
+    X itself, one single-vertex path per separator vertex; the kernel
+    answers those without building its flow network.  The flow stays
+    for the rest: where a separator vertex lies outside the bag, its
+    path runs through other vertices of the side, and which path the
+    flow picks decides the new bags.
+
     The bags of the A-copy keep their A-part and additionally pick up
     every separator vertex whose B-side path meets the bag (and
     symmetrically), which routes each separator vertex's subtree to the
-    gluing edge without growing any bag.
+    gluing edge without growing any bag.  Every set here is a vertex
+    mask, one per bag, built once per step.
     """
-    if not _violation_is_genuine(g, td, viol):
+    bag_masks = {u: mask_of(bag) for u, bag in td.bags.items()}
+    if not _violation_is_genuine(g, td, viol, bag_masks):
         raise NotAViolation("not a leanness violation for this decomposition")
     sep = viol.witness
-    x = sep.separator
+    mask_a, mask_b = sep.mask_a, sep.mask_b
+    x = mask_a & mask_b
     # per side, (bit of the path's separator vertex, mask of the path)
+    # for each path of more than one vertex: a one-vertex path meets a
+    # bag only at its separator vertex, which both parts of the bag hold
     path_bits = []
-    for side, node in ((sep.side_a, viol.s), (sep.side_b, viol.t)):
-        paths, _ = disjoint_path_system(g, x, td.bags[node] & side, side)
-        if len(paths) < len(x):
+    for side, node in ((mask_a, viol.s), (mask_b, viol.t)):
+        paths, _ = disjoint_path_system(g, x, bag_masks[node] & side, side)
+        if len(paths) < sep.order:
             raise NotAViolation("witness is not of minimum order")
-        path_bits.append([(1 << p[0], mask_of(p)) for p in paths])
+        path_bits.append([(1 << p[0], mask_of(p)) for p in paths if p[1:]])
     paths_a, paths_b = path_bits
 
     offset = max(td.nodes) + 1
     bags = {}
     neigh = {}
-    for u in td.nodes:
-        bag_m = mask_of(td.bags[u])
-        bags[u] = bag_m & sep.mask_a | sum(
+    for u, bag_m in bag_masks.items():
+        bags[u] = bag_m & mask_a | sum(
             bit for bit, path in paths_b if bag_m & path
         )
-        bags[u + offset] = bag_m & sep.mask_b | sum(
+        bags[u + offset] = bag_m & mask_b | sum(
             bit for bit, path in paths_a if bag_m & path
         )
         neigh[u] = set(td.neighbors(u))
@@ -98,40 +119,40 @@ def _prune(bags, neigh):
     """Drop empty bags and bags contained in a neighboring bag from the
     tree given by ``bags`` (node -> vertex mask) and ``neigh`` (node ->
     set of neighbors), and return what is left as a TreeDecomposition.
-    Both dicts are consumed."""
-    nodes = set(bags)
-    changed = True
-    while changed:
-        changed = False
-        for u in sorted(nodes):
-            others = neigh[u]
-            target = None
-            if not bags[u]:
-                target = min(others) if others else None
-            else:
-                for w in sorted(others):
-                    if not bags[u] & ~bags[w]:
-                        target = w
-                        break
-            if target is None:
-                continue
-            # reattach u's other neighbors to the target
-            for w in others:
-                if w != target:
-                    neigh[w].discard(u)
-                    neigh[w].add(target)
-                    neigh[target].add(w)
-            neigh[target].discard(u)
-            nodes.discard(u)
-            del bags[u]
-            del neigh[u]
-            changed = True
-            break
-    edges = set()
-    for u in nodes:
-        for w in neigh[u]:
-            edges.add((min(u, w), max(u, w)))
-    return TreeDecomposition(edges, {u: set_of(bags[u]) for u in nodes})
+    Both dicts are consumed.
+
+    The rule: merge the first node, in ascending id order, that is empty
+    or lies inside a neighbor into the smallest such neighbor, and apply
+    the rule again from the smallest id.  No bag changes, so whether a
+    node can be merged depends only on its set of neighbors, and a merge
+    changes only the target's set and those of the merged node's other
+    neighbors.  Every node before the smallest of them still cannot be
+    merged, so the scan of the one sorted node list resumes there and
+    finds the node a scan from the smallest id would find.
+    """
+    order = sorted(bags)
+    i = 0
+    while i < len(order):
+        u = order[i]
+        bag = bags[u]
+        others = neigh[u]
+        target = min((w for w in others if not bag & ~bags[w]), default=None)
+        if target is None:
+            i += 1
+            continue
+        del bags[u], neigh[u], order[i]
+        # reattach u's other neighbors to the target
+        others.discard(target)
+        for w in others:
+            neigh[w].discard(u)
+            neigh[w].add(target)
+        neigh[target].discard(u)
+        neigh[target] |= others
+        first = min(others | {target})
+        if first < u:
+            i = bisect_left(order, first)
+    edges = [(u, w) for u in order for w in neigh[u] if u < w]
+    return TreeDecomposition(edges, {u: frozenset(bits(bags[u])) for u in order})
 
 
 def build_k_lean(g, k, budget=DEFAULT_BUDGET, *, seps=None):

@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from conftest import brute_menger, brute_reachable, small_corpus
 
-from topstruct import lean
+from topstruct import _kernels, lean
+from topstruct.errors import InvariantViolation
 from topstruct.flows import disjoint_path_system
 from topstruct.graph import (
     Graph,
@@ -13,12 +16,16 @@ from topstruct.graph import (
     path_graph,
     petersen_graph,
     random_graph,
+    set_of,
 )
 
 
 def _check_system(g, src, dst, allowed, paths, separator):
-    allowed = set(allowed)
-    src, dst = set(src) & allowed, set(dst) & allowed
+    # every vertex set comes as a mask, as disjoint_path_system takes
+    # and returns them
+    allowed = set_of(allowed)
+    src, dst = set_of(src) & allowed, set_of(dst) & allowed
+    separator = set_of(separator)
     used = set()
     for p in paths:
         assert p[0] in src and p[-1] in dst
@@ -41,36 +48,53 @@ def _check_system(g, src, dst, allowed, paths, separator):
 
 def test_c5_single_path():
     g = cycle_graph(5)
-    paths, sep = disjoint_path_system(g, {1}, {3}, set(g.vertices))
-    assert paths == [(1, 2, 3)] and sep == {1}
+    paths, sep = disjoint_path_system(g, 1 << 1, 1 << 3, g.vertex_mask)
+    assert paths == [(1, 2, 3)] and sep == 1 << 1
 
 
 def test_petersen_neighborhood_menger():
     g = petersen_graph()
-    allowed = set(g.vertices) - {1, 3}
-    paths, sep = disjoint_path_system(g, g.neighbors(1), g.neighbors(3), allowed)
+    allowed = g.vertex_mask & ~mask_of([1, 3])
+    paths, sep = disjoint_path_system(g, g.adj[1], g.adj[3], allowed)
     assert len(paths) == 3
-    assert sep == {2, 5, 6}
-    _check_system(g, g.neighbors(1), g.neighbors(3), allowed, paths, sep)
+    assert sep == mask_of([2, 5, 6])
+    _check_system(g, g.adj[1], g.adj[3], allowed, paths, sep)
 
 
 def test_overlapping_endpoints_give_trivial_paths():
     g = path_graph(4)
-    paths, sep = disjoint_path_system(g, {1, 2}, {1, 4}, set(g.vertices))
+    paths, sep = disjoint_path_system(
+        g, mask_of([1, 2]), mask_of([1, 4]), g.vertex_mask
+    )
     assert sorted(paths) == [(1,), (2, 3, 4)]
-    assert sep == {1, 2}
+    assert sep == mask_of([1, 2])
 
 
 def test_k33_full_flow():
     g = complete_bipartite(3, 3)
-    paths, sep = disjoint_path_system(g, {1, 2, 3}, {4, 5, 6}, set(g.vertices))
+    src, dst = mask_of([1, 2, 3]), mask_of([4, 5, 6])
+    paths, sep = disjoint_path_system(g, src, dst, g.vertex_mask)
     assert len(paths) == 3
-    _check_system(g, {1, 2, 3}, {4, 5, 6}, set(g.vertices), paths, sep)
+    _check_system(g, src, dst, g.vertex_mask, paths, sep)
 
 
 def test_empty_graph():
     g = path_graph(0)
-    assert disjoint_path_system(g, set(), set(), set()) == ([], set())
+    assert disjoint_path_system(g, 0, 0, 0) == ([], 0)
+
+
+def test_a_short_separator_breaks_the_menger_check(monkeypatch):
+    # the check is a raise, not an assert, so it holds under python -O
+    g = cycle_graph(5)
+    kernel = _kernels._path_system
+
+    def short(*args):
+        paths, separator = kernel(*args)
+        return paths, separator & (separator - 1)
+
+    monkeypatch.setattr(_kernels, "_path_system", short)
+    with pytest.raises(InvariantViolation, match="2 disjoint paths"):
+        disjoint_path_system(g, mask_of([1, 3]), mask_of([2, 4]), g.vertex_mask)
 
 
 def test_random_systems_validate():
@@ -79,9 +103,9 @@ def test_random_systems_validate():
         n = rng.randint(1, 10)
         g = random_graph(n, rng.choice([0.2, 0.4, 0.7]), rng)
         verts = sorted(g.vertices)
-        allowed = set(rng.sample(verts, rng.randint(1, n)))
-        src = set(rng.sample(verts, rng.randint(0, n))) & allowed
-        dst = set(rng.sample(verts, rng.randint(0, n))) & allowed
+        allowed = mask_of(rng.sample(verts, rng.randint(1, n)))
+        src = mask_of(rng.sample(verts, rng.randint(0, n))) & allowed
+        dst = mask_of(rng.sample(verts, rng.randint(0, n))) & allowed
         paths, sep = disjoint_path_system(g, src, dst, allowed)
         _check_system(g, src, dst, allowed, paths, sep)
 
@@ -95,22 +119,24 @@ def test_count_is_maximum_by_brute_force():
         verts = sorted(g.vertices)
         src = set(rng.sample(verts, rng.randint(1, n)))
         dst = set(rng.sample(verts, rng.randint(1, n)))
-        paths, sep = disjoint_path_system(g, src, dst, set(verts))
+        paths, sep = disjoint_path_system(
+            g, mask_of(src), mask_of(dst), g.vertex_mask
+        )
         assert len(paths) == brute_menger(g, src, dst, verts)
 
 
-def _dict_flow_reference(g, src, dst, allowed):
+def _dict_flow_reference(g, src_m, dst_m, allowed_m):
     """Edmonds-Karp on a dict-of-dicts split-vertex network.
 
     An independent implementation with the same contract as
-    disjoint_path_system: each node scans its arcs in insertion order,
-    source and sink arcs carry n + 1, and the separator is read from
-    residual reachability.  The lean builder's exchange step consumes
-    these exact witnesses, so the two must agree path for path.
+    disjoint_path_system, masks in and masks out: each node scans its
+    arcs in insertion order, source and sink arcs carry n + 1, and the
+    separator is read from residual reachability.  It always builds the
+    whole network.  The lean builder's exchange step consumes these
+    exact witnesses, so the two must agree path for path.
     """
-    allowed_m = mask_of(allowed)
-    src_m = mask_of(src) & allowed_m
-    dst_m = mask_of(dst) & allowed_m
+    src_m &= allowed_m
+    dst_m &= allowed_m
     n = g.n
     adj = g.adj
     size = 2 * n + 2
@@ -171,10 +197,15 @@ def _dict_flow_reference(g, src, dst, allowed):
                 raise AssertionError("broken flow decomposition")
         paths.append(tuple(path))
     reach = set(prev)
-    separator = {
-        v for v in bits(allowed_m) if 2 * v in reach and 2 * v + 1 not in reach
-    }
+    separator = sum(
+        1 << v for v in bits(allowed_m) if 2 * v in reach and 2 * v + 1 not in reach
+    )
     return paths, separator
+
+
+def _takes_early_return(src, dst, allowed):
+    # the kernel answers these with the shared vertices, no network
+    return not src & allowed & ~dst or not dst & allowed & ~src
 
 
 def test_matches_dict_flow_reference(monkeypatch):
@@ -186,20 +217,36 @@ def test_matches_dict_flow_reference(monkeypatch):
         (4, 15), (4, 16), (5, 13), (5, 14), (6, 7), (6, 15), (8, 10),
         (8, 12), (8, 16), (9, 15), (10, 11), (12, 15),
     ])
-    cases = [(g, {4, 13}, {2, 9, 11}, set(g.vertices))]
+    cases = [(g, mask_of([4, 13]), mask_of([2, 9, 11]), g.vertex_mask)]
     assert disjoint_path_system(*cases[0])[0] == [(4, 10, 11), (13, 5, 2)]
     rng = random.Random(33)
     for _ in range(600):
         n = rng.randint(1, 16)
         g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
         verts = sorted(g.vertices)
-        allowed = set(rng.sample(verts, rng.randint(n // 2, n)))
-        src = set(rng.sample(verts, rng.randint(0, n)))
-        dst = set(rng.sample(verts, rng.randint(0, n)))
+        allowed = mask_of(rng.sample(verts, rng.randint(n // 2, n)))
+        src = mask_of(rng.sample(verts, rng.randint(0, n)))
+        dst = mask_of(rng.sample(verts, rng.randint(0, n)))
         cases.append((g, src, dst, allowed))
+    # one side inside the other within allowed, plus vertices outside
+    # allowed, which the flow ignores: no path can be augmented
+    rng = random.Random(35)
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
+        verts = sorted(g.vertices)
+        allowed = mask_of(rng.sample(verts, rng.randint(n // 2, n)))
+        dst = mask_of(rng.sample(verts, rng.randint(0, n)))
+        inside = mask_of(rng.sample(verts, rng.randint(0, n))) & dst
+        outside = mask_of(rng.sample(verts, rng.randint(0, n))) & ~allowed
+        src = inside | outside
+        cases.append((g, dst, src, allowed) if rng.random() < 0.5 else
+                     (g, src, dst, allowed))
+    early = sum(_takes_early_return(*case[1:]) for case in cases)
+    assert early >= 300
 
     def recording(g, src, dst, allowed):
-        cases.append((g, set(src), set(dst), set(allowed)))
+        cases.append((g, src, dst, allowed))
         return disjoint_path_system(g, src, dst, allowed)
 
     # every call the lean builder's exchange step makes
@@ -208,8 +255,13 @@ def test_matches_dict_flow_reference(monkeypatch):
         for g in small_corpus(34, 30, 9, min_n=4):
             for _ in lean.lean_step_trace(g, k):
                 pass
-    assert len(cases) > 700
+    assert len(cases) > 1000
     for g, src, dst, allowed in cases:
         assert disjoint_path_system(g, src, dst, allowed) == (
             _dict_flow_reference(g, src, dst, allowed)
-        ), (g.sorted_edges(), src, dst, allowed)
+        ), (g.sorted_edges(), set_of(src), set_of(dst), set_of(allowed))
+    shared = sum(
+        _takes_early_return(*case[1:]) and bool(case[1] & case[2] & case[3])
+        for case in cases
+    )
+    assert shared > 200

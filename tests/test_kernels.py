@@ -84,9 +84,9 @@ def test_kernels_call_no_public_kernel(monkeypatch):
     assert kernel["max_disjoint_paths"](
         g.adj, 4, mask_of([1, 2]), mask_of([1, 4]), full
     ) == 2
-    assert flows.disjoint_path_system(g, {1, 2}, {1, 4}, g.vertices) == (
-        [(1,), (2, 3, 4)], {1, 2}
-    )
+    assert flows.disjoint_path_system(
+        g, mask_of([1, 2]), mask_of([1, 4]), full
+    ) == ([(1,), (2, 3, 4)], mask_of([1, 2]))
 
 
 def test_pure_flow_known_values():

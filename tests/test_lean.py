@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from topstruct.decomposition import (
 from topstruct.errors import Budget, BudgetExceeded, NotAViolation
 from topstruct.graph import (
     Graph,
+    bits,
     complete_graph,
     cycle_graph,
     grid_graph,
@@ -26,6 +28,7 @@ from topstruct.graph import (
 )
 from topstruct.flows import disjoint_path_system
 from topstruct.lean import (
+    _prune,
     build_k_atomic_exact,
     build_k_lean,
     improvement_step,
@@ -181,6 +184,145 @@ def test_exchange_along_longer_paths(monkeypatch):
         "b 9 3 4 8 12\n"
         "1 2\n2 3\n3 4\n3 5\n5 6\n6 7\n6 9\n7 8\n"
     )
+
+
+def _chain_of_blobs(blobs, size, rng):
+    """``blobs`` random blobs of ``size`` vertices in a row: each blob is
+    a path plus random chords, and consecutive blobs are joined by two
+    random edges."""
+    edges = set()
+    prev = None
+    for b in range(blobs):
+        vs = range(b * size + 1, (b + 1) * size + 1)
+        edges |= set(zip(vs, vs[1:]))
+        chords = [(u, w) for i, u in enumerate(vs) for w in vs[i + 2:]]
+        edges |= set(rng.sample(chords, rng.randint(0, len(chords))))
+        if prev is not None:
+            edges |= set(rng.sample([(u, w) for u in prev for w in vs], 2))
+        prev = vs
+    return Graph.from_edges(blobs * size, sorted(edges))
+
+
+# The bytes below were read from the exchange step that built its bags
+# from frozensets and ran the flow network for every path system.
+LEAN_BYTES_SHA256 = (
+    "3bcedabd1f86ca66e145dd6da268685ba6ce971534b5fa278d9d0ec01f2a9292"
+)
+
+
+def test_lean_builder_bytes_are_pinned(monkeypatch):
+    """The .td bytes of build_k_lean over a seeded corpus, as one digest.
+
+    The benchmark's ``lean`` workload cannot see the exchange step: every
+    one of its outputs contracts to a single all-blue bag.  Here the
+    lean decompositions themselves are hashed, on random graphs at
+    k = 2-4 and on chains of random blobs, which take several exchange
+    steps each.  Nearly every path system is the separator itself; the
+    last three graphs were drawn from seeds whose exchange steps route
+    separator vertices along longer paths."""
+    rng = random.Random(24)
+    cases = [(g, k) for k in (2, 3, 4) for g in small_corpus(240 + k, 40, 10)]
+    cases += [
+        (_chain_of_blobs(rng.randint(2, 4), rng.randint(3, 5), rng), k)
+        for k in (3, 4)
+        for _ in range(15)
+    ]
+    for seed in (150, 166, 175):
+        draw = random.Random(seed)
+        g = random_graph(draw.randint(9, 12), draw.choice([0.2, 0.3, 0.4]), draw)
+        cases += [(g, 3), (g, 4)]
+    longer = []
+
+    def recording(g, src, dst, allowed):
+        paths, separator = disjoint_path_system(g, src, dst, allowed)
+        longer.append(any(len(p) > 1 for p in paths))
+        return paths, separator
+
+    monkeypatch.setattr("topstruct.lean.disjoint_path_system", recording)
+    digest = hashlib.sha256()
+    steps = nodes = 0
+    for g, k in cases:
+        td = TreeDecomposition.single_bag(g.vertices)
+        for _, td in lean_step_trace(g, k):
+            steps += 1
+        nodes += len(td.nodes)
+        digest.update(write_td(td, g.n).encode())
+    assert steps > 500 and nodes > 600 and sum(longer) == 8
+    assert digest.hexdigest() == LEAN_BYTES_SHA256
+
+
+def _reference_prune(bags, neigh):
+    """_prune as first written: rescan ``sorted(nodes)`` after each merge,
+    an empty bag merging into its smallest neighbor and a non-empty one
+    into the first neighbor, ascending, whose bag holds it."""
+    nodes = set(bags)
+    changed = True
+    while changed:
+        changed = False
+        for u in sorted(nodes):
+            others = neigh[u]
+            target = None
+            if not bags[u]:
+                target = min(others) if others else None
+            else:
+                for w in sorted(others):
+                    if not bags[u] & ~bags[w]:
+                        target = w
+                        break
+            if target is None:
+                continue
+            for w in others:
+                if w != target:
+                    neigh[w].discard(u)
+                    neigh[w].add(target)
+                    neigh[target].add(w)
+            neigh[target].discard(u)
+            nodes.discard(u)
+            del bags[u]
+            del neigh[u]
+            changed = True
+            break
+    edges = set()
+    for u in nodes:
+        for w in neigh[u]:
+            edges.add((min(u, w), max(u, w)))
+    return TreeDecomposition(edges, {u: set(bits(bags[u])) for u in nodes})
+
+
+def test_prune_matches_the_rescanning_reference():
+    """On random trees whose bags are random masks, often empty or nested
+    in a neighbor's, _prune keeps the same node ids, tree edges and bags
+    as the reference."""
+    rng = random.Random(25)
+    merged = 0
+    for _ in range(3000):
+        ids = rng.sample(range(1, 40), rng.randint(1, 12))
+        bags = {}
+        neigh = {u: set() for u in ids}
+        for i, u in enumerate(ids):
+            other = None
+            if i:
+                other = rng.choice(ids[:i])
+                neigh[u].add(other)
+                neigh[other].add(u)
+            roll = rng.random()
+            if roll < 0.15:
+                bags[u] = 0
+            elif other is not None and roll < 0.55:
+                bags[u] = bags[other] & rng.getrandbits(9)
+            elif other is not None and roll < 0.7:
+                bags[u] = bags[other] | rng.getrandbits(9) & ~1
+            else:
+                bags[u] = rng.getrandbits(9) & ~1
+        want = _reference_prune(
+            dict(bags), {u: set(ws) for u, ws in neigh.items()}
+        )
+        got = _prune(bags, neigh)
+        assert got.nodes == want.nodes
+        assert got.tree_edges == want.tree_edges
+        assert got.bags == want.bags
+        merged += len(ids) - len(got.nodes)
+    assert merged > 5000
 
 
 def test_leanness_witnesses_have_full_path_systems():

@@ -352,21 +352,21 @@ def test_induced_orientations_consistent():
 
 
 def test_s_k_consumers_read_only_masks(monkeypatch):
-    """The leanness check, the k-block relation, block homes and both
-    orientation comparisons read each separation's masks and order, and
-    never build one of its vertex sets.  The lean decompositions are
-    built first: the exchange step does build the witness's sides."""
+    """The lean builder's leanness checks and exchange steps, the k-block
+    relation, block homes and both orientation comparisons read each
+    separation's masks and order, and never build one of its vertex
+    sets."""
     k = 3
-    cases = []
-    for g in small_corpus(5, 60, 9):
-        seps = enumerate_separations(g, k)
-        cases.append((g, seps, build_k_lean(g, k, seps=seps)))
 
     def built(self):
         raise AssertionError("vertex set built")
 
     for name in ("side_a", "side_b", "separator"):
         monkeypatch.setattr(Separation, name, property(built))
+    cases = []
+    for g in small_corpus(5, 60, 9):
+        seps = enumerate_separations(g, k)
+        cases.append((g, seps, build_k_lean(g, k, seps=seps)))
     checked = 0
     for g, seps, td in cases:
         orientations = [
