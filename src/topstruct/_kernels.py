@@ -17,6 +17,8 @@ The kernels never call one another through the four kernel names
 those names, and must see only the calls from outside this module.
 """
 
+from .errors import InvariantViolation
+
 # The benchmark's run line prints this (perfbench/run.py).
 BACKEND = "pure"
 
@@ -89,7 +91,8 @@ def _path_system(adj, n, src, dst, allowed):
     Returns (paths, separator): the paths as vertex tuples, one per
     flow-carrying ``src`` vertex in ascending order, and as a mask the
     vertices whose in-node the last search reached but whose out-node
-    it did not, plus the shared vertices.
+    it did not, plus the shared vertices.  A flow that does not
+    decompose into paths raises ``InvariantViolation``.
 
     When every vertex of ``src & allowed`` is in ``dst``, or every
     vertex of ``dst & allowed`` is in ``src``, the network has no source
@@ -115,7 +118,7 @@ def _path_system(adj, n, src, dst, allowed):
                     if cap[2 * w][node]:
                         break
                 else:
-                    raise AssertionError("broken flow decomposition")
+                    raise InvariantViolation("broken flow decomposition")
                 path.append(w)
                 node = 2 * w + 1
             paths.append(tuple(path))

@@ -162,13 +162,21 @@ class _ModelSearch:
     with its seed vertex and no further sets may open (Z-based mode).
     ``require_meet`` restricts to models whose every branch set meets
     the given vertex set.
+
+    ``_feasible(remaining)`` asks whether the open sets can still grow,
+    from the vertices of ``remaining``, into a model.  A complete model
+    is a feasible state with no vertex left: with ``remaining`` empty,
+    each set must already be non-empty, connected and meet the required
+    set, and each pair joined by an edge.  So one predicate decides both
+    completeness and pruning, and a prune added to it must accept every
+    complete assignment.
     """
 
     def __init__(self, g, m, budget, require_meet=None, seeds=None):
         self.g = g
         self.m = m
         self.budget = Budget.of(budget)
-        self.meet = mask_of(require_meet) if require_meet is not None else None
+        self.meet = g.vertex_mask if require_meet is None else mask_of(require_meet)
         if seeds is None:
             self.sets = []
             excluded = 0
@@ -194,13 +202,9 @@ class _ModelSearch:
 
     def _rec(self, i):
         self.budget.charge("model search")
-        done = self._complete()
-        if done is not None:
-            return done
-        remaining = self.suffixes[i] if i < len(self.order) else 0
-        if not self._feasible(remaining):
-            return None
-        if i >= len(self.order):
+        if len(self.sets) == self.m and self._feasible(0):
+            return Model(tuple(frozenset(set_of(s)) for s in self.sets), self.m)
+        if i == len(self.order) or not self._feasible(self.suffixes[i]):
             return None
         v = self.order[i]
         vm = 1 << v
@@ -217,22 +221,6 @@ class _ModelSearch:
             if found is not None:
                 return found
         return self._rec(i + 1)  # skip v
-
-    def _complete(self):
-        g = self.g
-        if len(self.sets) < self.m:
-            return None
-        for s in self.sets:
-            if s == 0 or g.reachable_mask(s & -s, s) != s:
-                return None
-            if self.meet is not None and not (s & self.meet):
-                return None
-        for a, b in itertools.combinations(self.sets, 2):
-            if not self._joined(a, b):
-                return None
-        return Model(
-            tuple(frozenset(set_of(s)) for s in self.sets), self.m
-        )
 
     def _joined(self, a, b):
         for v in bits(a):
@@ -252,14 +240,12 @@ class _ModelSearch:
             avail = s | remaining
             if g.reachable_mask(s & -s, avail) & s != s:
                 return False
-            if self.meet is not None and not (s & self.meet) and not (
-                remaining & self.meet
-            ):
+            if not avail & self.meet:
                 return False
         for a, b in itertools.combinations(self.sets, 2):
             if self._joined(a, b):
                 continue
-            if not (g.reachable_mask(a, a | b | remaining) & b):
+            if not remaining or not g.reachable_mask(a, a | b | remaining) & b:
                 return False
         return True
 

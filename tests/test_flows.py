@@ -97,6 +97,24 @@ def test_a_short_separator_breaks_the_menger_check(monkeypatch):
         disjoint_path_system(g, mask_of([1, 3]), mask_of([2, 4]), g.vertex_mask)
 
 
+def test_a_flow_that_stops_breaks_the_path_decoding(monkeypatch):
+    # one unit of flow leaves the source through vertex 1, crosses to 2
+    # and stops there: the paths cannot be decoded, and that is an
+    # internal failure, raised, not asserted
+    g = path_graph(3)
+
+    def stopped(adj, n, src, dst, allowed):
+        size = 2 * n + 2
+        cap = [[0] * size for _ in range(size)]
+        # reverse residuals of the arcs source -> in(1) -> out(1) -> in(2)
+        cap[2][0] = cap[3][2] = cap[4][3] = 1
+        return 1, 0, cap, [-1] * size
+
+    monkeypatch.setattr(_kernels, "_max_flow", stopped)
+    with pytest.raises(InvariantViolation, match="broken flow decomposition"):
+        disjoint_path_system(g, mask_of([1]), mask_of([3]), g.vertex_mask)
+
+
 def test_random_systems_validate():
     rng = random.Random(31)
     for _ in range(120):

@@ -15,6 +15,7 @@ from conftest import (
 )
 
 from topstruct.errors import (
+    Budget,
     BudgetExceeded,
     InvariantViolation,
     OrientationMismatch,
@@ -23,17 +24,21 @@ from topstruct.errors import (
 )
 from topstruct.graph import (
     Graph,
+    bits,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     grid_graph,
+    mask_of,
     path_graph,
     petersen_graph,
     random_graph,
+    set_of,
 )
 from topstruct.obstructions import (
     Block,
     BlockOrientation,
+    Model,
     ModelOrientation,
     check_rs_lemma,
     extract_subdivision,
@@ -158,6 +163,158 @@ def test_model_require_meet():
 def test_model_budget():
     with pytest.raises(BudgetExceeded):
         find_clique_model(complete_graph(9), 5, budget=3)
+
+
+class _SearchWithCompletenessTest:
+    """The clique-model search as it was written with a completeness
+    test of its own beside ``_feasible``, kept as the reference for the
+    search that asks ``_feasible(0)`` instead.  Both must visit the same
+    nodes in the same order."""
+
+    def __init__(self, g, m, budget, require_meet=None, seeds=None):
+        self.g = g
+        self.m = m
+        self.budget = budget
+        self.meet = mask_of(require_meet) if require_meet is not None else None
+        if seeds is None:
+            self.sets = []
+            excluded = 0
+        else:
+            self.sets = [1 << v for v in sorted(seeds)]
+            excluded = mask_of(seeds)
+        self.order = sorted(
+            (v for v in g.vertices if not (excluded >> v) & 1),
+            key=lambda v: (-g.degree(v), v),
+        )
+        self.can_open = seeds is None
+
+    def run(self):
+        if self.m == 0:
+            return Model((), 0)
+        suffix = 0
+        suffixes = [0] * (len(self.order) + 1)
+        for i in range(len(self.order) - 1, -1, -1):
+            suffix |= 1 << self.order[i]
+            suffixes[i] = suffix
+        self.suffixes = suffixes
+        return self._rec(0)
+
+    def _rec(self, i):
+        self.budget.charge("model search")
+        done = self._complete()
+        if done is not None:
+            return done
+        remaining = self.suffixes[i] if i < len(self.order) else 0
+        if not self._feasible(remaining):
+            return None
+        if i >= len(self.order):
+            return None
+        vm = 1 << self.order[i]
+        if self.can_open and len(self.sets) < self.m:
+            self.sets.append(vm)
+            found = self._rec(i + 1)
+            self.sets.pop()
+            if found is not None:
+                return found
+        for j in range(len(self.sets)):
+            self.sets[j] |= vm
+            found = self._rec(i + 1)
+            self.sets[j] &= ~vm
+            if found is not None:
+                return found
+        return self._rec(i + 1)
+
+    def _complete(self):
+        g = self.g
+        if len(self.sets) < self.m:
+            return None
+        for s in self.sets:
+            if s == 0 or g.reachable_mask(s & -s, s) != s:
+                return None
+            if self.meet is not None and not (s & self.meet):
+                return None
+        for a, b in itertools.combinations(self.sets, 2):
+            if not self._joined(a, b):
+                return None
+        return Model(tuple(frozenset(set_of(s)) for s in self.sets), self.m)
+
+    def _joined(self, a, b):
+        return any(self.g.adj[v] & b for v in bits(a))
+
+    def _feasible(self, remaining):
+        g = self.g
+        opened = len(self.sets)
+        if self.can_open and opened < self.m:
+            if remaining.bit_count() < self.m - opened:
+                return False
+        for s in self.sets:
+            if s == 0:
+                return False
+            if g.reachable_mask(s & -s, s | remaining) & s != s:
+                return False
+            if self.meet is not None and not (s & self.meet) and not (
+                remaining & self.meet
+            ):
+                return False
+        for a, b in itertools.combinations(self.sets, 2):
+            if self._joined(a, b):
+                continue
+            if not (g.reachable_mask(a, a | b | remaining) & b):
+                return False
+        return True
+
+
+def _search_outcome(search, limit):
+    """(model or None, units spent), or ("budget", units spent)."""
+    meter = Budget(limit)
+    try:
+        return search(meter), meter.spent
+    except BudgetExceeded:
+        return "budget", meter.spent
+
+
+def test_model_search_matches_the_completeness_test_reference():
+    """Completeness as ``_feasible(0)`` leaves the search tree as it
+    was: the same model (or None) and the same budget spent, in all
+    three modes, on seeded graphs with n 1-11 and m 0-7; searches that
+    run out of budget must run out at the same node."""
+    rng = random.Random(2500)
+    limit = 2000
+    outcomes = {"model": 0, None: 0, "budget": 0}
+    for _ in range(300):
+        n = rng.randint(1, 11)
+        g = random_graph(n, rng.choice([0.3, 0.5, 0.8]), rng)
+        m = rng.randint(0, 7)
+        verts = sorted(g.vertices)
+        meet = rng.sample(verts, rng.randint(1, n))
+        z = rng.sample(verts, min(m, n))
+        pairs = [
+            (
+                lambda b: find_clique_model(g, m, b),
+                lambda b: _SearchWithCompletenessTest(g, m, b).run(),
+            ),
+            (
+                lambda b: find_clique_model(g, m, b, require_meet=meet),
+                lambda b: _SearchWithCompletenessTest(
+                    g, m, b, require_meet=meet
+                ).run(),
+            ),
+            (
+                lambda b: find_z_based_model(g, z, b),
+                lambda b: _SearchWithCompletenessTest(
+                    g, len(z), b, seeds=sorted(z)
+                ).run(),
+            ),
+        ]
+        for search, reference in pairs:
+            got = _search_outcome(search, limit)
+            assert got == _search_outcome(reference, limit), (
+                sorted(g.edges), n, m, meet, z,
+            )
+            result = got[0]
+            outcomes["model" if isinstance(result, Model) else result] += 1
+    assert outcomes["model"] > 400 and outcomes[None] > 300, outcomes
+    assert outcomes["budget"] > 40, outcomes
 
 
 def _perfbench_corpora():
