@@ -15,14 +15,13 @@ from .decomposition import (
     write_td,
 )
 from .graph import Graph, load_gr, parse_gr, write_gr
-from .lean import build_k_atomic_exact, build_k_lean, improvement_step
+from .lean import build_k_lean, improvement_step
 from .obstructions import (
     Block,
     BlockOrientation,
     Model,
     ModelOrientation,
     SubdivisionEmbedding,
-    check_rs_lemma,
     extract_subdivision,
     find_clique_model,
     find_k_blocks,
@@ -33,10 +32,8 @@ from .pipeline import (
     Coloring,
     Parameters,
     StructureResult,
-    check_join_lemma,
     color_nodes,
     contract_blue,
-    distinguishing_order,
     run_structure,
     select_f,
 )
@@ -44,10 +41,8 @@ from .separations import (
     Orientation,
     Separation,
     enumerate_separations,
-    is_separation,
     is_tight,
     min_vertex_cut,
-    orientation_is_consistent,
 )
 from .verifier import minor_oracle, verify_subdivision, verify_theorem
 
@@ -67,13 +62,9 @@ __all__ = [
     "StructureResult",
     "SubdivisionEmbedding",
     "TreeDecomposition",
-    "build_k_atomic_exact",
     "build_k_lean",
-    "check_join_lemma",
-    "check_rs_lemma",
     "color_nodes",
     "contract_blue",
-    "distinguishing_order",
     "enumerate_separations",
     "errors",
     "extract_subdivision",
@@ -82,13 +73,11 @@ __all__ = [
     "find_subdivision",
     "find_z_based_model",
     "improvement_step",
-    "is_separation",
     "is_tight",
     "load_gr",
     "load_td",
     "min_vertex_cut",
     "minor_oracle",
-    "orientation_is_consistent",
     "parse_gr",
     "parse_td",
     "renumbered",

@@ -119,41 +119,32 @@ def cmd_find(args):
         if args.k is None:
             raise ValueError("--kind block needs --k")
         blocks = find_k_blocks(g, args.k, budget=args.budget)
-        if not blocks:
-            print("none")
-            return EXIT_OK
         text = "".join(
             "block %d: %s\n"
             % (i, " ".join(str(v) for v in sorted(b.vertices)))
             for i, b in enumerate(blocks, start=1)
-        )
+        ) or None
     elif kind == "minor":
         if args.m is None:
             raise ValueError("--kind minor needs --m")
         model = find_clique_model(g, args.m, budget=args.budget)
-        if model is None:
-            print("none")
-            return EXIT_OK
-        text = serialize_model(model)
+        text = None if model is None else serialize_model(model)
     elif kind == "subdivision":
         if args.r is None:
             raise ValueError("--kind subdivision needs --r")
         emb = find_subdivision(g, args.r, budget=args.budget)
-        if emb is None:
-            print("none")
-            return EXIT_OK
-        text = serialize_subdivision(emb)
+        text = None if emb is None else serialize_subdivision(emb)
     elif kind == "zmodel":
         z = [int(tok) for tok in (args.z or "").replace(",", " ").split()]
         if not z:
             raise ValueError("--kind zmodel needs --z")
         model = find_z_based_model(g, z, budget=args.budget)
-        if model is None:
-            print("none")
-            return EXIT_OK
-        text = serialize_model(model)
+        text = None if model is None else serialize_model(model)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError("unknown kind %r" % kind)
+    if text is None:
+        print("none")
+        return EXIT_OK
     path = base + ".witness.txt"
     with open(path, "w") as fh:
         fh.write(text)

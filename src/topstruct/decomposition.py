@@ -386,6 +386,8 @@ def parse_td(text):
                     raise FormatError("bad color node id", lineno)
                 if parts[3] not in ("red", "blue"):
                     raise FormatError("color must be red or blue", lineno)
+                if node in coloring:
+                    raise FormatError("bag %d colored twice" % node, lineno)
                 coloring[node] = parts[3]
             continue
         if parts[0] == "s":

@@ -77,10 +77,6 @@ class NotAViolation(TopstructError):
     leanness violation for the given decomposition."""
 
 
-class Indistinguishable(TopstructError):
-    """Two orientations agree on every separation of order below the bound."""
-
-
 class OrientationMismatch(TopstructError):
     """Subdivision extraction requires the block and the model to induce
     the same orientation; they do not."""

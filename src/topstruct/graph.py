@@ -98,12 +98,6 @@ class Graph:
 
     # -- derived graphs ------------------------------------------------
 
-    def overlay_clique(self, z):
-        """G^Z: make the vertices of z pairwise adjacent."""
-        zs = sorted(z)
-        extra = {(zs[i], zs[j]) for i in range(len(zs)) for j in range(i + 1, len(zs))}
-        return Graph(self.n, self.edges | frozenset(extra))
-
     def induced(self, vertices):
         """Induced subgraph relabelled to 1..|vertices|.
 

@@ -15,9 +15,8 @@ kernel answers without a flow network.  The flow stays, since a
 separator vertex outside its bag needs a real path, and the path the
 flow picks decides the new bags.
 
-``build_k_atomic_exact`` is the tiny-instance oracle: it finds a
-decomposition of genuinely minimum fatness among all decompositions of
-adhesion < k by exhaustive dynamic programming.
+The exhaustive minimum-fatness builder that the tests hold this one
+against is a test reference, in ``tests/conftest.py``.
 """
 
 from bisect import bisect_left
@@ -25,7 +24,7 @@ from bisect import bisect_left
 from .decomposition import TreeDecomposition
 from .errors import DEFAULT_BUDGET, Budget, InvariantViolation, NotAViolation
 from .flows import disjoint_path_system
-from .graph import bits, mask_of, set_of
+from .graph import bits, mask_of
 from .separations import enumerate_separations, is_mask_separation
 
 
@@ -194,105 +193,3 @@ def lean_step_trace(g, k, budget=DEFAULT_BUDGET, *, seps=None):
         budget.charge("lean builder")
         td = improvement_step(g, td, viol)
         yield viol, td
-
-
-# -- exact minimum-fatness oracle --------------------------------------
-
-
-def _merge_sizes(*size_tuples):
-    out = []
-    for sizes in size_tuples:
-        out.extend(sizes)
-    out.sort(reverse=True)
-    return tuple(out)
-
-
-def build_k_atomic_exact(g, k, budget=DEFAULT_BUDGET):
-    """Minimum-fatness decomposition of adhesion < k (exhaustive).
-
-    Fatness is compared via descending bag-size multisets, which matches
-    the lexicographic order on (a_0, ..., a_n).  Intended for |V| <= 9.
-    Rooted dynamic programming: a state asks for the best decomposition
-    of G[S] whose root bag contains R; the root bag W is enumerated, and
-    each component of G[S] - W becomes its own child.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    n = g.n
-    if n == 0:
-        return TreeDecomposition.single_bag(())
-    full = g.vertex_mask
-    memo = {}
-    budget = Budget.of(budget)
-
-    def best(smask, rmask):
-        key = (smask, rmask)
-        if key in memo:
-            return memo[key]
-        best_sizes = None
-        best_plan = None
-        free = smask & ~rmask
-        # enumerate W = R | (submask of S \ R), ascending numeric order
-        sub = 0
-        while True:
-            wmask = rmask | sub
-            budget.charge("exact builder")
-            candidate = _evaluate_root(smask, wmask)
-            if candidate is not None:
-                sizes, plan = candidate
-                if best_sizes is None or sizes < best_sizes:
-                    best_sizes, best_plan = sizes, plan
-            if sub == free:
-                break
-            sub = (sub - free) & free
-        memo[key] = (best_sizes, best_plan)
-        return memo[key]
-
-    def _evaluate_root(smask, wmask):
-        if wmask == 0 and smask != 0:
-            return None
-        if wmask == smask:
-            bag = frozenset(set_of(wmask))
-            return ((len(bag),), (bag, ()))
-        children = []
-        child_sizes = []
-        for comp in g.component_masks(smask & ~wmask):
-            boundary = 0
-            for v in bits(comp):
-                boundary |= g.adj[v]
-            boundary &= wmask
-            if boundary.bit_count() >= k:
-                return None
-            child_set = comp | boundary
-            if child_set == smask:
-                # parent bag would sit inside the child's root bag
-                return None
-            sizes, plan = best(child_set, boundary)
-            if sizes is None:
-                return None
-            children.append(plan)
-            child_sizes.append(sizes)
-        bag = frozenset(set_of(wmask))
-        return (
-            _merge_sizes((len(bag),), *child_sizes),
-            (bag, tuple(children)),
-        )
-
-    sizes, plan = best(full, 0)
-    if plan is None:
-        raise InvariantViolation("no decomposition found")  # cannot happen
-    nodes = {}
-    edges = set()
-    counter = [0]
-
-    def realize(plan, parent):
-        counter[0] += 1
-        me = counter[0]
-        nodes[me] = plan[0]
-        if parent is not None:
-            edges.add((min(parent, me), max(parent, me)))
-        for child in plan[1]:
-            realize(child, me)
-
-    realize(plan, None)
-    return TreeDecomposition(edges, nodes)

@@ -491,30 +491,6 @@ def orientations_agree(g, k, o1, o2, budget=DEFAULT_BUDGET, *, seps=None):
     return True
 
 
-# -- the Z-based-model lemma -------------------------------------------
-
-
-def check_rs_lemma(g, z, x, budget=DEFAULT_BUDGET):
-    """Hypothesis test: does the model x orient S_{|z|}(G^Z) like Z does?
-
-    x must be a model of K_q in the overlay graph with q ≥ 2|z| − 1;
-    when this returns True, a Z-based model must exist (the lemma), which
-    the test suite asserts via find_z_based_model.
-    """
-    z = frozenset(z)
-    p = len(z)
-    if x.target < 2 * p - 1:
-        raise PreconditionFailed(
-            "model size %d < 2*%d - 1" % (x.target, p)
-        )
-    if p == 0:
-        return True
-    gz = g.overlay_clique(z)
-    o_z = BlockOrientation(p, z)
-    o_x = ModelOrientation(p, x)
-    return orientations_agree(gz, p, o_z, o_x, budget=budget)
-
-
 # -- subdivision extraction --------------------------------------------
 
 

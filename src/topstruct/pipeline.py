@@ -16,7 +16,6 @@ from .errors import (
     BichromaticComponent,
     Budget,
     CoverageImpossible,
-    Indistinguishable,
 )
 from .lean import build_k_lean
 from .obstructions import (
@@ -25,14 +24,9 @@ from .obstructions import (
     extract_subdivision,
     find_clique_model,
     find_k_blocks,
-    find_z_based_model,
     refutes_clique_minor,
 )
-from .separations import (
-    degenerate_separations,
-    enumerate_separations,
-    is_tight,
-)
+from .separations import enumerate_separations, is_tight
 
 
 def _supported_branch_count(k, m):
@@ -99,25 +93,6 @@ class StructureResult:
     @property
     def variant(self):
         return "subdivision" if self.subdivision is not None else "decomposition"
-
-
-# -- orientation comparison --------------------------------------------
-
-
-def distinguishing_order(g, o1, o2, budget=DEFAULT_BUDGET):
-    """Minimum order of a separation the two orientations direct apart,
-    over all of S_k: the proper members and the degenerate ones."""
-    if o1.k != o2.k:
-        raise ValueError("orientations live on different S_k")
-    best = None
-    seps = enumerate_separations(g, o1.k, budget=budget)
-    for s in seps + degenerate_separations(g, o1.k):
-        if o1.w_side(s) != o2.w_side(s):
-            if best is None or s.order < best:
-                best = s.order
-    if best is None:
-        raise Indistinguishable("orientations agree on all of S_k")
-    return best
 
 
 # -- distinguishing edge selection -------------------------------------
@@ -218,18 +193,6 @@ def contract_blue(td, coloring):
         f = {tuple(sorted(fresh if x in edge else x for x in e)) for e in f}
     remaining_f = frozenset(e for e in f if e in td.tree_edges)
     return td, Coloring(colors, remaining_f, frozenset())
-
-
-def check_join_lemma(g, td, s, t, budget=DEFAULT_BUDGET):
-    """True iff the far side of the edge s→t has a model based on the
-    adhesion set: G[W_t] must contain a (V_s ∩ V_t)-based clique model."""
-    sep = td.induced_separation(s, t)
-    w_t = sep.side_b  # the t-side
-    z = td.bags[s] & td.bags[t]
-    sub, labels = g.induced(sorted(w_t))
-    back = {old: i + 1 for i, old in enumerate(labels)}
-    model = find_z_based_model(sub, [back[v] for v in sorted(z)], budget=budget)
-    return model is not None
 
 
 # -- the full run ------------------------------------------------------

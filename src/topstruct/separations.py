@@ -9,7 +9,7 @@ lazy orientations (see obstructions.py).
 import itertools
 
 from . import _kernels
-from .errors import DEFAULT_BUDGET, AdjacentPair, Budget, SeparationDoesNotDecide
+from .errors import DEFAULT_BUDGET, AdjacentPair, Budget
 from .graph import bits, mask_of
 
 
@@ -95,13 +95,8 @@ def _mask_key(mask):
     return bin(mask)[:1:-1].translate(_SWAP_01)
 
 
-def is_separation(g, a, b):
-    """True iff a ∪ b = V and no edge joins a∖b to b∖a."""
-    return is_mask_separation(g, mask_of(a), mask_of(b))
-
-
 def is_mask_separation(g, am, bm):
-    """``is_separation`` on the two sides' vertex masks."""
+    """True iff the masks' union is V and no edge joins am∖bm to bm∖am."""
     if (am | bm) != g.vertex_mask:
         return False
     only_a = am & ~bm
@@ -162,8 +157,9 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
     and (V, V) when n < k, are not built: a separator with fewer than
     two components gives no proper separation, and of the others'
     colorings the one that puts every component on side A is skipped.
-    ``degenerate_separations`` lists them.  No consumer in
-    ``pipeline.run_structure`` needs them:
+    ``degenerate_members`` in ``tests/conftest.py`` lists them for the
+    exhaustive checks.  No consumer in ``pipeline.run_structure`` needs
+    them:
 
     - a leanness witness needs p > |X| vertices of a bag on its thin
       side, which for (V, X) is X itself, so
@@ -205,19 +201,6 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
     return [of_masks(am, bm) for _, _, _, am, bm in keyed]
 
 
-def degenerate_separations(g, max_order):
-    """The members of S_k that ``enumerate_separations`` leaves out:
-    (V, X) for every X of fewer than max_order vertices, with X = V
-    giving (V, V) when n < max_order; ascending by ``sort_key``."""
-    full = g.vertex_mask
-    verts = sorted(g.vertices)
-    return [
-        Separation._of_masks(full, mask_of(sep))
-        for size in range(min(max_order, g.n + 1))
-        for sep in itertools.combinations(verts, size)
-    ]
-
-
 # -- orientations ------------------------------------------------------
 
 
@@ -236,48 +219,3 @@ class Orientation:
 
     def w_side(self, s):
         raise NotImplementedError
-
-
-class ExplicitOrientation(Orientation):
-    """Orientation materialized as a map canonical separation -> W mask."""
-
-    def __init__(self, k, choices):
-        super().__init__(k)
-        self.choices = dict(choices)
-
-    @staticmethod
-    def from_w_sides(k, pairs):
-        """From (separation, W) pairs, W given as a vertex collection."""
-        return ExplicitOrientation(
-            k, {s.canonical(): mask_of(w) for s, w in pairs}
-        )
-
-    def w_side(self, s):
-        if s.order >= self.k:
-            raise SeparationDoesNotDecide("order %d >= k=%d" % (s.order, self.k))
-        try:
-            return self.choices[s.canonical()]
-        except KeyError:
-            raise SeparationDoesNotDecide("separation not in explicit table")
-
-
-def orientation_is_consistent(g, orientation, budget=DEFAULT_BUDGET):
-    """Exhaustive consistency check at oracle scale.
-
-    Inconsistent means: two members (A,B), (C,D) with B ⊆ C and D ⊆ A.
-    Runs over all of S_k: the proper members and the degenerate ones.
-    """
-    k = orientation.k
-    seps = enumerate_separations(g, k, budget=budget)
-    seps += degenerate_separations(g, k)
-    members = []
-    for s in seps:
-        w = orientation.w_side(s)
-        members.append((s.mask_a if w == s.mask_b else s.mask_b, w))
-    for i, (a, b) in enumerate(members):
-        for j, (c, d) in enumerate(members):
-            if i == j:
-                continue
-            if b | c == c and d | a == a:  # B ⊆ C and D ⊆ A
-                return False
-    return True

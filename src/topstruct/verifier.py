@@ -47,26 +47,6 @@ def verify_subdivision(g, r, s):
     return True
 
 
-def model_from_subdivision(g, s):
-    """Fold a verified subdivision into an explicit clique model.
-
-    Each branch vertex takes the first half of every incident path,
-    giving disjoint connected sets with all pairwise adjacencies.
-    """
-    from .obstructions import Model
-
-    sets = {v: {v} for v in s.branch_vertices}
-    for (u, w), path in s.paths.items():
-        interior = path[1:-1]
-        half = len(interior) // 2
-        sets[u].update(interior[:half])
-        sets[w].update(interior[half:])
-    return Model(
-        tuple(frozenset(sets[v]) for v in s.branch_vertices),
-        len(s.branch_vertices),
-    )
-
-
 # -- canonical forms ----------------------------------------------------
 
 
@@ -238,7 +218,7 @@ def minor_oracle(g, m, budget=DEFAULT_BUDGET):
     if m <= 0:
         return True
     if m == 1:
-        return g.n >= 1 and len(g.vertices) >= 1
+        return g.n >= 1
     if m == 2:
         return bool(g.edges)
     if m == 3:

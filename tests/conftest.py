@@ -1,8 +1,12 @@
-"""Shared brute-force oracles and corpus helpers for the test suite.
+"""Shared brute-force oracles, reference checks and corpus helpers for
+the test suite.
 
 The oracles here deliberately share no code with the library internals
 they check: cuts by subset enumeration, blocks straight from the
-definition, models by validation of explicit candidates.
+definition, models by validation of explicit candidates.  The reference
+checks of the theory (the exact minimum-fatness builder, explicit
+orientations, the join and RS lemma checks) are test code as well: no
+module of the package imports this file.
 """
 
 import itertools
@@ -10,9 +14,27 @@ import random
 
 import pytest
 
-from topstruct.errors import DEFAULT_BUDGET
-from topstruct.graph import Graph, random_graph
-from topstruct.separations import Separation, enumerate_separations
+from topstruct.decomposition import TreeDecomposition
+from topstruct.errors import (
+    DEFAULT_BUDGET,
+    Budget,
+    InvariantViolation,
+    PreconditionFailed,
+    SeparationDoesNotDecide,
+)
+from topstruct.graph import Graph, bits, mask_of, random_graph, set_of
+from topstruct.obstructions import (
+    BlockOrientation,
+    ModelOrientation,
+    find_z_based_model,
+    orientations_agree,
+)
+from topstruct.separations import (
+    Orientation,
+    Separation,
+    enumerate_separations,
+    is_mask_separation,
+)
 
 _acceptance_lines = []
 
@@ -190,6 +212,209 @@ def brute_is_tree(nodes, edges):
     if len(pairs) != len(nodes) - 1:
         return False
     return brute_closure(min(nodes), edges, nodes) == nodes
+
+
+# -- reference checks of the theory, at oracle scale ---------------------
+
+
+def is_separation(g, a, b):
+    """True iff a ∪ b = V and no edge joins a∖b to b∖a."""
+    return is_mask_separation(g, mask_of(a), mask_of(b))
+
+
+class ExplicitOrientation(Orientation):
+    """Orientation materialized as a map canonical separation -> W mask."""
+
+    def __init__(self, k, choices):
+        super().__init__(k)
+        self.choices = dict(choices)
+
+    @staticmethod
+    def from_w_sides(k, pairs):
+        """From (separation, W) pairs, W given as a vertex collection."""
+        return ExplicitOrientation(
+            k, {s.canonical(): mask_of(w) for s, w in pairs}
+        )
+
+    def w_side(self, s):
+        if s.order >= self.k:
+            raise SeparationDoesNotDecide("order %d >= k=%d" % (s.order, self.k))
+        try:
+            return self.choices[s.canonical()]
+        except KeyError:
+            raise SeparationDoesNotDecide("separation not in explicit table")
+
+
+def orientation_is_consistent(g, orientation, budget=DEFAULT_BUDGET):
+    """Exhaustive consistency check at oracle scale.
+
+    Inconsistent means: two members (A,B), (C,D) with B ⊆ C and D ⊆ A.
+    Runs over all of S_k: the proper members and the degenerate ones.
+    """
+    members = []
+    for s in full_s_k(g, orientation.k, budget=budget):
+        w = orientation.w_side(s)
+        members.append((s.mask_a if w == s.mask_b else s.mask_b, w))
+    for i, (a, b) in enumerate(members):
+        for j, (c, d) in enumerate(members):
+            if i == j:
+                continue
+            if b | c == c and d | a == a:  # B ⊆ C and D ⊆ A
+                return False
+    return True
+
+
+def distinguishing_order(g, o1, o2, budget=DEFAULT_BUDGET):
+    """Minimum order of a separation the two orientations direct apart,
+    over all of S_k: the proper members and the degenerate ones; None
+    when they agree on every one."""
+    if o1.k != o2.k:
+        raise ValueError("orientations live on different S_k")
+    best = None
+    for s in full_s_k(g, o1.k, budget=budget):
+        if o1.w_side(s) != o2.w_side(s):
+            if best is None or s.order < best:
+                best = s.order
+    return best
+
+
+def check_join_lemma(g, td, s, t, budget=DEFAULT_BUDGET):
+    """True iff the far side of the edge s→t has a model based on the
+    adhesion set: G[W_t] must contain a (V_s ∩ V_t)-based clique model."""
+    sep = td.induced_separation(s, t)
+    w_t = sep.side_b  # the t-side
+    z = td.bags[s] & td.bags[t]
+    sub, labels = g.induced(sorted(w_t))
+    back = {old: i + 1 for i, old in enumerate(labels)}
+    model = find_z_based_model(sub, [back[v] for v in sorted(z)], budget=budget)
+    return model is not None
+
+
+def overlay_clique(g, z):
+    """G^Z: make the vertices of z pairwise adjacent."""
+    zs = sorted(z)
+    extra = {(zs[i], zs[j]) for i in range(len(zs)) for j in range(i + 1, len(zs))}
+    return Graph(g.n, g.edges | frozenset(extra))
+
+
+def check_rs_lemma(g, z, x, budget=DEFAULT_BUDGET):
+    """Hypothesis test: does the model x orient S_{|z|}(G^Z) like Z does?
+
+    x must be a model of K_q in the overlay graph with q ≥ 2|z| − 1;
+    when this returns True, a Z-based model must exist (the lemma), which
+    the test suite asserts via find_z_based_model.
+    """
+    z = frozenset(z)
+    p = len(z)
+    if x.target < 2 * p - 1:
+        raise PreconditionFailed(
+            "model size %d < 2*%d - 1" % (x.target, p)
+        )
+    if p == 0:
+        return True
+    gz = overlay_clique(g, z)
+    o_z = BlockOrientation(p, z)
+    o_x = ModelOrientation(p, x)
+    return orientations_agree(gz, p, o_z, o_x, budget=budget)
+
+
+def _merge_sizes(*size_tuples):
+    out = []
+    for sizes in size_tuples:
+        out.extend(sizes)
+    out.sort(reverse=True)
+    return tuple(out)
+
+
+def build_k_atomic_exact(g, k, budget=DEFAULT_BUDGET):
+    """Minimum-fatness decomposition of adhesion < k (exhaustive).
+
+    Fatness is compared via descending bag-size multisets, which matches
+    the lexicographic order on (a_0, ..., a_n).  Intended for |V| <= 9.
+    Rooted dynamic programming: a state asks for the best decomposition
+    of G[S] whose root bag contains R; the root bag W is enumerated, and
+    each component of G[S] - W becomes its own child.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    n = g.n
+    if n == 0:
+        return TreeDecomposition.single_bag(())
+    full = g.vertex_mask
+    memo = {}
+    budget = Budget.of(budget)
+
+    def best(smask, rmask):
+        key = (smask, rmask)
+        if key in memo:
+            return memo[key]
+        best_sizes = None
+        best_plan = None
+        free = smask & ~rmask
+        # enumerate W = R | (submask of S \ R), ascending numeric order
+        sub = 0
+        while True:
+            wmask = rmask | sub
+            budget.charge("exact builder")
+            candidate = _evaluate_root(smask, wmask)
+            if candidate is not None:
+                sizes, plan = candidate
+                if best_sizes is None or sizes < best_sizes:
+                    best_sizes, best_plan = sizes, plan
+            if sub == free:
+                break
+            sub = (sub - free) & free
+        memo[key] = (best_sizes, best_plan)
+        return memo[key]
+
+    def _evaluate_root(smask, wmask):
+        if wmask == 0 and smask != 0:
+            return None
+        if wmask == smask:
+            bag = frozenset(set_of(wmask))
+            return ((len(bag),), (bag, ()))
+        children = []
+        child_sizes = []
+        for comp in g.component_masks(smask & ~wmask):
+            boundary = 0
+            for v in bits(comp):
+                boundary |= g.adj[v]
+            boundary &= wmask
+            if boundary.bit_count() >= k:
+                return None
+            child_set = comp | boundary
+            if child_set == smask:
+                # parent bag would sit inside the child's root bag
+                return None
+            sizes, plan = best(child_set, boundary)
+            if sizes is None:
+                return None
+            children.append(plan)
+            child_sizes.append(sizes)
+        bag = frozenset(set_of(wmask))
+        return (
+            _merge_sizes((len(bag),), *child_sizes),
+            (bag, tuple(children)),
+        )
+
+    sizes, plan = best(full, 0)
+    if plan is None:
+        raise InvariantViolation("no decomposition found")  # cannot happen
+    nodes = {}
+    edges = set()
+    counter = [0]
+
+    def realize(plan, parent):
+        counter[0] += 1
+        me = counter[0]
+        nodes[me] = plan[0]
+        if parent is not None:
+            edges.add((min(parent, me), max(parent, me)))
+        for child in plan[1]:
+            realize(child, me)
+
+    realize(plan, None)
+    return TreeDecomposition(edges, nodes)
 
 
 def planar_3_tree(n, rng):

@@ -126,6 +126,22 @@ def test_find_commands(tmp_path, capsys):
     assert "x 1: 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "kind, flags, g",
+    [
+        ("block", ["--k", "3"], path_graph(5)),
+        ("subdivision", ["--r", "5"], complete_graph(4)),
+        ("zmodel", ["--z", "1,2,3"], path_graph(3)),
+    ],
+    ids=["block", "subdivision", "zmodel"],
+)
+def test_find_prints_none(tmp_path, capsys, kind, flags, g):
+    gr = _write(tmp_path, "g.gr", g)
+    assert main(["find", "--kind", kind, *flags, gr]) == 0
+    assert capsys.readouterr().out == "none\n"
+    assert not (tmp_path / "g.witness.txt").exists()
+
+
 @pytest.mark.parametrize("z", ["1,99", "0,1", "1,-2"])
 def test_find_zmodel_rejects_vertices_outside_the_graph(tmp_path, capsys, z):
     c4 = _write(tmp_path, "c4.gr", cycle_graph(4))
@@ -182,6 +198,14 @@ def test_exit_codes(tmp_path, capsys):
     # n mismatch between files -> 64
     other = _write(tmp_path, "p5.gr", path_graph(5))
     assert main(["verify", other, td_path, "--k", "2", "--m", "4"]) == 64
+
+
+def test_verify_rejects_a_repeated_color(tmp_path, capsys):
+    gr = _write(tmp_path, "p2.gr", path_graph(2))
+    td = tmp_path / "p2.td"
+    td.write_text("s td 1 2 2\nb 1 1 2\nc color 1 red\nc color 1 blue\n")
+    assert main(["verify", gr, str(td), "--k", "2", "--m", "4"]) == 64
+    assert "line 4: bag 1 colored twice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import ExplicitOrientation, is_separation
+
 from topstruct.decomposition import (
     TreeDecomposition,
     parse_td,
@@ -16,13 +18,11 @@ from topstruct.errors import (
 )
 from topstruct.graph import (
     Graph,
-    complete_graph,
     cycle_graph,
     path_graph,
     random_graph,
 )
 from topstruct.lean import build_k_lean
-from topstruct.separations import ExplicitOrientation, is_separation
 
 
 def path_td():
@@ -204,3 +204,5 @@ def test_parse_td_errors():
         parse_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 5\n")
     with pytest.raises(FormatError, match="red or blue"):
         parse_td("s td 1 2 3\nb 1 1 2\nc color 1 green\n")
+    with pytest.raises(FormatError, match="line 4: bag 1 colored twice"):
+        parse_td("s td 1 2 2\nb 1 1 2\nc color 1 red\nc color 1 blue\n")

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import overlay_clique
+
 from topstruct.errors import FormatError
 from topstruct.graph import (
     Graph,
@@ -55,7 +57,7 @@ def test_components_and_connectivity():
 
 def test_overlay_clique():
     g = path_graph(4)
-    gz = g.overlay_clique({1, 3, 4})
+    gz = overlay_clique(g, {1, 3, 4})
     assert gz.has_edge(1, 3) and gz.has_edge(1, 4) and gz.has_edge(3, 4)
     assert gz.has_edge(1, 2)
     assert len(gz.edges) == len(g.edges) + 2  # (3,4) already present

@@ -6,7 +6,9 @@ import pytest
 
 from conftest import (
     brute_menger,
+    build_k_atomic_exact,
     full_s_k,
+    is_separation,
     small_corpus,
 )
 
@@ -29,16 +31,11 @@ from topstruct.graph import (
 from topstruct.flows import disjoint_path_system
 from topstruct.lean import (
     _prune,
-    build_k_atomic_exact,
     build_k_lean,
     improvement_step,
     lean_step_trace,
 )
-from topstruct.separations import (
-    Separation,
-    enumerate_separations,
-    is_separation,
-)
+from topstruct.separations import Separation, enumerate_separations
 
 
 def test_build_on_named_graphs():

@@ -7,8 +7,11 @@ import pytest
 
 from conftest import (
     blocks_by_definition,
+    check_rs_lemma,
     is_valid_model,
     min_degree_width,
+    orientation_is_consistent,
+    overlay_clique,
     planar_3_tree,
     small_corpus,
     surplus_refutes,
@@ -40,7 +43,6 @@ from topstruct.obstructions import (
     BlockOrientation,
     Model,
     ModelOrientation,
-    check_rs_lemma,
     extract_subdivision,
     find_clique_model,
     find_k_blocks,
@@ -51,11 +53,7 @@ from topstruct.obstructions import (
     serialize_model,
     serialize_subdivision,
 )
-from topstruct.separations import (
-    Separation,
-    enumerate_separations,
-    orientation_is_consistent,
-)
+from topstruct.separations import Separation, enumerate_separations
 from topstruct.lean import build_k_lean
 from topstruct.verifier import minor_oracle, verify_subdivision
 
@@ -604,7 +602,7 @@ def test_rs_lemma_false_case():
     edges = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7), (6, 8), (7, 8), (5, 8)]
     g = Graph.from_edges(8, edges)
     z = [1, 2]
-    gz = g.overlay_clique(z)
+    gz = overlay_clique(g, z)
     x = find_clique_model(gz, 3, require_meet={5, 6, 7, 8})
     assert x is not None
     assert check_rs_lemma(g, z, x) is False
@@ -620,7 +618,7 @@ def test_rs_lemma_property_random():
         if n < p:
             continue
         z = rng.sample(sorted(g.vertices), p)
-        gz = g.overlay_clique(z)
+        gz = overlay_clique(g, z)
         x = find_clique_model(gz, 2 * p - 1)
         if x is None:
             continue

@@ -4,9 +4,12 @@ import random
 import pytest
 
 from conftest import (
+    ExplicitOrientation,
     brute_min_vertex_cut,
     degenerate_members,
     full_s_k,
+    is_separation,
+    orientation_is_consistent,
     small_corpus,
 )
 
@@ -25,14 +28,10 @@ from topstruct.graph import (
     random_graph,
 )
 from topstruct.separations import (
-    ExplicitOrientation,
     Separation,
-    degenerate_separations,
     enumerate_separations,
-    is_separation,
     is_tight,
     min_vertex_cut,
-    orientation_is_consistent,
 )
 from topstruct.separations import _mask_key
 
@@ -155,15 +154,6 @@ def test_enumeration_contract():
         assert not any(_has_empty_exclusive_side(s) for s in seps)
         every = seps + degenerate_members(g, k)
         assert {(s.side_a, s.side_b) for s in every} == _brute_separations(g, k)
-
-
-def test_degenerate_separations():
-    # the library's list of the members the enumerator leaves out
-    for g in small_corpus(37, 30, 7, min_n=0):
-        for k in range(1, 5):
-            want = degenerate_members(g, k)
-            assert degenerate_separations(g, k) == want
-            assert want == sorted(want, key=Separation.sort_key)
 
 
 def test_enumeration_charges_every_candidate_separator():

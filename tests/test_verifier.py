@@ -1,8 +1,8 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
-
-from conftest import is_valid_model
 
 from topstruct import verifier
 from topstruct.decomposition import TreeDecomposition
@@ -23,10 +23,38 @@ from topstruct.verifier import (
     _reduce_for_minor,
     canonical_key,
     minor_oracle,
-    model_from_subdivision,
     verify_subdivision,
     verify_theorem,
 )
+
+
+def _imported_modules(path):
+    """Every module a source file imports, at any depth of its AST, by
+    full name; a relative import is read inside the package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if not node.level:
+                found.add(node.module)
+            elif node.module:
+                found.add("topstruct." + node.module)
+            else:
+                found.update("topstruct." + alias.name for alias in node.names)
+    return found
+
+
+def test_verifier_shares_no_code_with_the_search():
+    # the verifier re-checks what the search found, so it may reach the
+    # package only through the error types and the graph; and no module
+    # may lean on the test suite's references
+    package = Path(verifier.__file__).parent
+    imports = {p.stem: _imported_modules(p) for p in package.glob("*.py")}
+    ours = {m for m in imports["verifier"] if m.startswith("topstruct.")}
+    assert ours <= {"topstruct.errors", "topstruct.graph"}, ours
+    for name, modules in sorted(imports.items()):
+        assert not any(m.split(".")[0] == "conftest" for m in modules), name
 
 
 def test_verify_subdivision_good_and_bad():
@@ -50,13 +78,6 @@ def test_verify_subdivision_good_and_bad():
     assert not verify_subdivision(g2, 3, bad)
     # wrong branch count
     assert not verify_subdivision(g, 3, s)
-
-
-def test_model_from_subdivision():
-    g = petersen_graph()
-    s = find_subdivision(g, 4)
-    model = model_from_subdivision(g, s)
-    assert is_valid_model(g, model, 4)
 
 
 def test_minor_oracle_small_m():
