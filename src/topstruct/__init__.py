@@ -18,9 +18,7 @@ from .graph import Graph, load_gr, parse_gr, write_gr
 from .lean import build_k_lean, improvement_step
 from .obstructions import (
     Block,
-    BlockOrientation,
     Model,
-    ModelOrientation,
     SubdivisionEmbedding,
     extract_subdivision,
     find_clique_model,
@@ -38,7 +36,6 @@ from .pipeline import (
     select_f,
 )
 from .separations import (
-    Orientation,
     Separation,
     enumerate_separations,
     is_tight,
@@ -50,13 +47,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Block",
-    "BlockOrientation",
     "Coloring",
     "Graph",
     "LeannessViolation",
     "Model",
-    "ModelOrientation",
-    "Orientation",
     "Parameters",
     "Separation",
     "StructureResult",

@@ -1,5 +1,5 @@
 """Tree-decompositions: induced separations, torsos, contraction,
-fatness, leanness checking, home nodes, and the .td text format.
+fatness, leanness checking, and the .td text format.
 
 Instances are immutable after construction; contraction returns a new
 value.  Every walk of the tree is one ``TreeDecomposition.reach``.
@@ -13,7 +13,6 @@ from operator import attrgetter
 from .errors import (
     DEFAULT_BUDGET,
     FormatError,
-    InconsistentOrientation,
     NotAnEdge,
     NotASubtree,
 )
@@ -306,29 +305,6 @@ class TreeDecomposition:
                         if (bm & vs).bit_count() >= p and (am & vt).bit_count() >= p:
                             return LeannessViolation(s_node, t_node, p, sep.flip())
         return None
-
-    # -- home nodes ----------------------------------------------------
-
-    def home_node(self, orientation):
-        """Unique sink of the edge orientation induced by ``orientation``."""
-        outdeg = {node: 0 for node in self.nodes}
-        for s, t in self.tree_edges:
-            sep = self.induced_separation(s, t)
-            w = orientation.w_side(sep)
-            if sep.mask_a == sep.mask_b:
-                # degenerate (B, B) edge carries no information
-                outdeg[s] += 1
-                continue
-            if w == sep.mask_b:
-                outdeg[s] += 1
-            elif w == sep.mask_a:
-                outdeg[t] += 1
-            else:
-                raise InconsistentOrientation("w_side returned a foreign side")
-        sinks = [node for node, d in outdeg.items() if d == 0]
-        if len(sinks) != 1:
-            raise InconsistentOrientation("no unique sink: %r" % (sorted(sinks),))
-        return sinks[0]
 
 
 # -- .td text format ---------------------------------------------------

@@ -64,22 +64,9 @@ class NotASubtree(TopstructError):
     """The given node set does not induce a connected subtree."""
 
 
-class InconsistentOrientation(TopstructError):
-    """An orientation did not direct all tree edges towards a unique node."""
-
-
-class SeparationDoesNotDecide(TopstructError):
-    """A lazy orientation was queried with a separation it cannot orient."""
-
-
 class NotAViolation(TopstructError):
     """The improvement step was handed something that is not a genuine
     leanness violation for the given decomposition."""
-
-
-class OrientationMismatch(TopstructError):
-    """Subdivision extraction requires the block and the model to induce
-    the same orientation; they do not."""
 
 
 class CoverageImpossible(TopstructError):

@@ -1,8 +1,8 @@
-"""Highly connected substructures and the orientations they induce.
+"""Highly connected substructures and the searches that find them.
 
 k-blocks, clique models, subdivisions, Z-based models, and the
-subdivision extraction that turns a same-orientation block/model pair
-into a K_r subdivision with prescribed branch vertices.
+subdivision extraction that finds a K_r subdivision with prescribed
+branch vertices through a Z-based model of a copy graph.
 """
 
 import itertools
@@ -12,16 +12,10 @@ from .errors import (
     DEFAULT_BUDGET,
     Budget,
     InvariantViolation,
-    OrientationMismatch,
     PreconditionFailed,
-    SeparationDoesNotDecide,
 )
 from .graph import Graph, bits, mask_of, set_of
-from .separations import (
-    Orientation,
-    enumerate_separations,
-    min_vertex_cut,
-)
+from .separations import min_vertex_cut
 
 
 @dataclass(frozen=True)
@@ -407,90 +401,6 @@ def _embed_pairs(g, branch, budget):
     return None
 
 
-# -- induced orientations ----------------------------------------------
-
-
-class BlockOrientation(Orientation):
-    """O_B: a separation is directed toward the side containing the block."""
-
-    def __init__(self, k, block):
-        super().__init__(k)
-        self.vertices = frozenset(
-            block.vertices if isinstance(block, Block) else block
-        )
-        self._mask = mask_of(self.vertices)
-
-    def w_side(self, s):
-        if s.order >= self.k:
-            raise SeparationDoesNotDecide(
-                "order %d >= k=%d" % (s.order, self.k)
-            )
-        in_a = not self._mask & ~s.mask_a
-        in_b = not self._mask & ~s.mask_b
-        if in_a and in_b:
-            raise InvariantViolation("block inside a separator smaller than k")
-        if in_b:
-            return s.mask_b
-        if in_a:
-            return s.mask_a
-        raise InvariantViolation("block split by a separation of order < k")
-
-
-class ModelOrientation(Orientation):
-    """O_X: directed toward the side fully containing some branch set."""
-
-    def __init__(self, k, model):
-        super().__init__(k)
-        self._masks = [mask_of(s) for s in model.branch_sets]
-
-    def w_side(self, s):
-        if s.order >= self.k:
-            raise SeparationDoesNotDecide(
-                "order %d >= k=%d" % (s.order, self.k)
-            )
-        sep_m = s.mask_a & s.mask_b
-        only_a = s.mask_a & ~s.mask_b
-        only_b = s.mask_b & ~s.mask_a
-        side = None
-        for x in self._masks:
-            if x & sep_m:
-                continue
-            if x & only_a and x & only_b:
-                raise InvariantViolation("untouched branch set crosses sides")
-            here = s.mask_a if x & only_a else s.mask_b
-            if side is None:
-                side = here
-            elif side != here:
-                raise InvariantViolation(
-                    "untouched branch sets on opposite sides"
-                )
-        if side is None:
-            raise SeparationDoesNotDecide(
-                "every branch set meets the separator"
-            )
-        return side
-
-
-def orientations_agree(g, k, o1, o2, budget=DEFAULT_BUDGET, *, seps=None):
-    """True iff o1 and o2 direct every proper separation of order < k
-    the same way.
-
-    ``seps`` is ``enumerate_separations(g, k)`` from a caller that
-    already holds it.  The degenerate members of S_k, (V, X) with
-    |X| < k, are left out: a block orientation (the block has at least
-    k vertices, so one lies outside X) and the orientation of a K_m
-    model with m >= k (at least k disjoint branch sets, so one avoids
-    X) both answer V on each of them.  For such a pair the answer holds
-    over all of S_k.
-    """
-    if seps is None:
-        seps = enumerate_separations(g, k, budget=budget)
-    for s in seps:
-        if o1.w_side(s) != o2.w_side(s):
-            return False
-    return True
-
-
 # -- subdivision extraction --------------------------------------------
 
 
@@ -500,41 +410,51 @@ def branch_count_fits(r, k, m):
     return r * (r - 1) <= k and 2 * r * (r - 1) - 1 <= m
 
 
-def extract_subdivision(g, k, m, b, x, b0, budget=DEFAULT_BUDGET, *, seps=None):
-    """K_r subdivision with branch vertices exactly b0, from a block and
-    a clique model inducing the same orientation.
+def extract_subdivision(g, b0, budget=DEFAULT_BUDGET):
+    """A K_r subdivision with branch vertices exactly b0, r = |b0| ≥ 2,
+    or None when the copy graph has no copy-based model.
 
-    Checks the same-orientation hypothesis first (OrientationMismatch on
-    failure), then builds the auxiliary graph in which every prescribed
-    branch vertex is replaced by an independent set of r−1 copies, finds
-    a model based on the copy set, and converts its connecting paths back
-    by identifying each branch vertex with its lowest-labeled copy.
+    Each vertex of b0 is replaced by an independent set of r − 1
+    copies; a K_{r(r−1)} model of that copy graph with one copy in each
+    branch set (a Z-based model, Z the r(r−1) copies) gives one path per
+    pair of b0, each copy identified back with its branch vertex.  The
+    model search is exact, and the embedding must pass
+    ``verifier.verify_subdivision`` before it is returned.
+
+    ``run_structure`` calls this at a node t that is the home of a
+    k-block and of a K_m model, with b0 in the block and
+    ``branch_count_fits(r, k, m)``, and treats None there as a bug.
+    The RS lemma, whose hypothesis ``check_rs_lemma`` in
+    ``tests/conftest.py`` tests, asks of a K_q model with
+    q ≥ 2|Z| − 1 that it direct the separations of order < |Z| as Z
+    does; here |Z| = r(r−1) ≤ k and q = m ≥ 2r(r−1) − 1.  At a shared
+    home the block and the model agree on every such separation.  Let
+    (A, B) have order p − 1, p ≤ r(r−1), with the block in B:
+
+    - the block lies in V_t ∩ B, so |V_t ∩ B| ≥ k ≥ p;
+    - at most p − 1 branch sets meet A ∩ B.  The other m − p + 1 ≥ p
+      (as m ≥ 2r(r−1) − 1 ≥ 2p − 1) are pairwise adjacent, so they lie
+      on one exclusive side; if it is A ∖ B, each meets V_t there, and
+      |V_t ∩ A| ≥ p;
+    - k-leanness at (t, t) then asks for p disjoint paths between p
+      vertices of V_t ∩ A and p of V_t ∩ B, but each such path meets
+      the p − 1 vertices of A ∩ B.
+
+    So the model lies on the block's side of every such separation,
+    and this function computes no orientation.
     """
     b0 = tuple(sorted(set(b0)))
     r = len(b0)
     if r < 2:
         raise PreconditionFailed("need at least two branch vertices")
-    if not set(b0) <= set(b.vertices):
-        raise PreconditionFailed("branch vertices must lie in the block")
-    if not branch_count_fits(r, k, m):
-        raise PreconditionFailed(
-            "parameters too small for %d branch vertices" % r
-        )
-    if m < k:
-        raise PreconditionFailed("a K_%d model does not orient S_%d" % (m, k))
+    if b0[0] < 1 or b0[-1] > g.n:
+        raise PreconditionFailed("branch vertices must be vertices of g")
     budget = Budget.of(budget)
-    o_b = BlockOrientation(k, b)
-    o_x = ModelOrientation(k, x)
-    if not orientations_agree(g, k, o_b, o_x, budget=budget, seps=seps):
-        raise OrientationMismatch("block and model orient S_k differently")
-
     h, copies = _copy_graph(g, b0, r - 1)
     j_all = sorted(v for vs in copies.values() for v in vs)
     model = find_z_based_model(h, j_all, budget=budget)
     if model is None:
-        raise InvariantViolation(
-            "no copy-based model despite matching orientations"
-        )
+        return None
     branch_set_of = {}
     for s in model.branch_sets:
         for v in j_all:

@@ -3,7 +3,7 @@ distinguishing edges, coloring, contraction — or a subdivision exit.
 
 Given parameters (r, or a generalized (k, m) pair), the run either
 extracts a clique subdivision (when some block and some clique model
-orient all small separations the same way) or emits a colored
+share a home node of the lean decomposition) or emits a colored
 tree-decomposition whose red torsos have few high-degree vertices and
 whose blue torsos have no large clique minor.
 """
@@ -16,10 +16,10 @@ from .errors import (
     BichromaticComponent,
     Budget,
     CoverageImpossible,
+    InvariantViolation,
 )
 from .lean import build_k_lean
 from .obstructions import (
-    BlockOrientation,
     branch_count_fits,
     extract_subdivision,
     find_clique_model,
@@ -199,17 +199,17 @@ def contract_blue(td, coloring):
 
 
 def _model_home_nodes(g, m, td, budget):
-    """Nodes that are the home of some K_m model's orientation.
+    """The set of nodes t for which some K_m model has every branch set
+    meeting the bag V_t: the homes of K_m models.
 
-    A node t qualifies exactly when some model has every branch set
-    meeting the bag V_t, which the constrained search decides directly.
-    Two exact prunes skip searches that cannot succeed:
-    ``refutes_clique_minor`` on g refutes every node at once, and m
-    disjoint branch sets cannot all meet a bag of fewer than m vertices.
-    For m ≤ 3 the refutation is only a vertex and edge count: its
-    degree-2 contraction would turn a triangle into an edge.
+    The constrained search decides each node directly; the models it
+    finds are not kept.  Two exact prunes skip searches that cannot
+    succeed: ``refutes_clique_minor`` on g refutes every node at once,
+    and m disjoint branch sets cannot all meet a bag of fewer than m
+    vertices.  For m ≤ 3 the refutation is only a vertex and edge
+    count: its degree-2 contraction would turn a triangle into an edge.
     """
-    homes = {}
+    homes = set()
     if refutes_clique_minor(g, m):
         return homes
     for t in sorted(td.nodes):
@@ -217,17 +217,23 @@ def _model_home_nodes(g, m, td, budget):
             continue
         model = find_clique_model(g, m, budget=budget, require_meet=td.bags[t])
         if model is not None:
-            homes[t] = model
+            homes.add(t)
     return homes
 
 
 def run_structure(g, params, budget=DEFAULT_BUDGET):
     """Run the whole argument on g.
 
-    Either a subdivision of K_r with branch vertices inside some block
-    (when a block and a model share a home node on the lean
-    decomposition), or the colored, blue-contracted decomposition.
-    Every stage charges the one ``budget``.
+    A k-block's home is the one node whose bag contains it: every tree
+    edge induces a separation of order < k, and a block of at least k
+    vertices lies on one side of each, so it lies in the bag of the
+    sink of the edges directed toward it and in no other bag.  A K_m
+    model's home is a node whose bag every branch set meets.  When a
+    block and a model share a home, the run extracts a subdivision of
+    K_r whose branch vertices are the block's r smallest vertices
+    (see ``extract_subdivision`` for why it exists); otherwise it
+    returns the colored, blue-contracted decomposition.  Every stage
+    charges the one ``budget``.
     """
     budget = Budget.of(budget)
     report = []
@@ -248,23 +254,25 @@ def run_structure(g, params, budget=DEFAULT_BUDGET):
     blocks = tuple(find_k_blocks(g, params.k, budget=budget, seps=seps))
     block_homes = {}
     for b in blocks:
-        home = td.home_node(BlockOrientation(params.k, b))
-        block_homes[home] = b
+        holders = [t for t in sorted(td.nodes) if b.vertices <= td.bags[t]]
+        if len(holders) != 1:
+            raise InvariantViolation("a k-block lies in %d bags" % len(holders))
+        block_homes[holders[0]] = b
     report.append(
         "blocks: %d, home nodes %s" % (len(blocks), sorted(block_homes))
     )
     model_homes = _model_home_nodes(g, params.m, td, budget)
     report.append("model home nodes: %s" % sorted(model_homes))
 
-    shared = sorted(set(block_homes) & set(model_homes))
+    shared = sorted(set(block_homes) & model_homes)
     if shared:
         t = shared[0]
-        block = block_homes[t]
-        model = model_homes[t]
-        b0 = tuple(sorted(block.vertices)[: params.r])
-        emb = extract_subdivision(
-            g, params.k, params.m, block, model, b0, budget=budget, seps=seps
-        )
+        b0 = tuple(sorted(block_homes[t].vertices)[: params.r])
+        emb = extract_subdivision(g, b0, budget=budget)
+        if emb is None:
+            raise InvariantViolation(
+                "no K_%d subdivision at the shared home %d" % (params.r, t)
+            )
         report.append(
             "subdivision exit at node %d, branch vertices %s"
             % (t, list(emb.branch_vertices))
@@ -278,12 +286,12 @@ def run_structure(g, params, budget=DEFAULT_BUDGET):
             report=report,
         )
 
-    f = select_f(g, td, set(block_homes), set(model_homes))
+    f = select_f(g, td, set(block_homes), model_homes)
     for e in sorted(f):
         report.append(
             "F edge %d-%d order %d" % (e[0], e[1], td.edge_order(*e))
         )
-    coloring = color_nodes(td, f, set(block_homes), set(model_homes))
+    coloring = color_nodes(td, f, set(block_homes), model_homes)
     if coloring.defaulted:
         report.append(
             "defaulted to blue (no home node): %s"

@@ -1,9 +1,7 @@
-"""Separations, their orientations, and the brute-force enumerator.
+"""Separations, tightness, and the brute-force enumerator of S_k.
 
 A separation is an ordered pair (A, B) of vertex sets covering V with no
-edge between the exclusive parts; its order is |A ∩ B|.  Orientations
-pick one direction per unordered pair; blocks and clique models induce
-lazy orientations (see obstructions.py).
+edge between the exclusive parts; its order is |A ∩ B|.
 """
 
 import itertools
@@ -20,10 +18,10 @@ class Separation:
     ``order`` is |A ∩ B|, stored with the masks: the leanness check
     slices S_k by it.  Equality and hash use the masks, which is the
     same as comparing the sides.  ``side_a``, ``side_b`` and
-    ``separator`` are frozensets built anew on each use; the enumerator,
-    the orientations and every consumer of S_k read the masks and never
-    build them.  ``Separation(a, b)`` takes any two collections of
-    vertices.  Instances are hashed, so treat them as immutable.
+    ``separator`` are frozensets built anew on each use; the enumerator
+    and every consumer of S_k read the masks and never build them.
+    ``Separation(a, b)`` takes any two collections of vertices.
+    Instances are hashed, so treat them as immutable.
     """
 
     __slots__ = ("mask_a", "mask_b", "order")
@@ -166,10 +164,9 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
       ``TreeDecomposition.check_k_lean`` can never match it;
     - the k-block relation splits the pairs across the exclusive sides,
       and (V, X) has an empty one;
-    - in ``obstructions.orientations_agree``, a k-block has at least k
-      vertices and a K_m model with m >= k has at least k disjoint
-      branch sets, so each has a vertex or a whole branch set outside X
-      when |X| < k, and both orientations answer V on every (V, X).
+    - block homes are read off the bags, and the subdivision exit
+      compares no orientations, so neither asks a separation which side
+      holds a block or a model.
     """
     budget = Budget.of(budget)
     keyed = []
@@ -199,23 +196,3 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
     keyed.sort()
     of_masks = Separation._of_masks
     return [of_masks(am, bm) for _, _, _, am, bm in keyed]
-
-
-# -- orientations ------------------------------------------------------
-
-
-class Orientation:
-    """One direction per separation pair of S_k(G).
-
-    Concrete classes answer ``w_side(separation)``: the vertex mask of
-    the side W such that (U, W) is the member of the orientation, for
-    any separation of order below k.  W is one of the separation's own
-    sides, so an answer is ``mask_a`` or ``mask_b`` and compares as an
-    int.
-    """
-
-    def __init__(self, k):
-        self.k = k
-
-    def w_side(self, s):
-        raise NotImplementedError

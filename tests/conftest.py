@@ -4,9 +4,10 @@ the test suite.
 The oracles here deliberately share no code with the library internals
 they check: cuts by subset enumeration, blocks straight from the
 definition, models by validation of explicit candidates.  The reference
-checks of the theory (the exact minimum-fatness builder, explicit
-orientations, the join and RS lemma checks) are test code as well: no
-module of the package imports this file.
+checks of the theory (the exact minimum-fatness builder, the
+orientations of blocks and models and the home node of an orientation,
+the join and RS lemma checks) are test code as well: no module of the
+package imports this file.
 """
 
 import itertools
@@ -20,17 +21,10 @@ from topstruct.errors import (
     Budget,
     InvariantViolation,
     PreconditionFailed,
-    SeparationDoesNotDecide,
 )
 from topstruct.graph import Graph, bits, mask_of, random_graph, set_of
-from topstruct.obstructions import (
-    BlockOrientation,
-    ModelOrientation,
-    find_z_based_model,
-    orientations_agree,
-)
+from topstruct.obstructions import Block, find_z_based_model
 from topstruct.separations import (
-    Orientation,
     Separation,
     enumerate_separations,
     is_mask_separation,
@@ -121,13 +115,18 @@ def brute_set_split(g, bset, k):
 
 
 def blocks_by_definition(g, k):
-    """k-blocks straight from the definition (maximal unsplit ≥ k sets)."""
+    """k-blocks straight from the definition (maximal unsplit ≥ k sets),
+    against one enumeration of S_k."""
+    seps = enumerate_separations(g, k)
     verts = sorted(g.vertices)
     unsplit = []
     for size in range(k, len(verts) + 1):
         for combo in itertools.combinations(verts, size):
-            if not brute_set_split(g, frozenset(combo), k):
-                unsplit.append(frozenset(combo))
+            bset = frozenset(combo)
+            if not any(
+                not bset <= s.side_a and not bset <= s.side_b for s in seps
+            ):
+                unsplit.append(bset)
     maximal = [
         b for b in unsplit if not any(b < other for other in unsplit)
     ]
@@ -220,6 +219,135 @@ def brute_is_tree(nodes, edges):
 def is_separation(g, a, b):
     """True iff a ∪ b = V and no edge joins a∖b to b∖a."""
     return is_mask_separation(g, mask_of(a), mask_of(b))
+
+
+class SeparationDoesNotDecide(Exception):
+    """A lazy orientation was queried with a separation it cannot orient."""
+
+
+class InconsistentOrientation(Exception):
+    """An orientation did not direct all tree edges towards a unique node."""
+
+
+class Orientation:
+    """One direction per separation pair of S_k(G).
+
+    Concrete classes answer ``w_side(separation)``: the vertex mask of
+    the side W such that (U, W) is the member of the orientation, for
+    any separation of order below k.  W is one of the separation's own
+    sides, so an answer is ``mask_a`` or ``mask_b`` and compares as an
+    int.
+    """
+
+    def __init__(self, k):
+        self.k = k
+
+    def w_side(self, s):
+        raise NotImplementedError
+
+
+class BlockOrientation(Orientation):
+    """O_B: a separation is directed toward the side containing the block."""
+
+    def __init__(self, k, block):
+        super().__init__(k)
+        self.vertices = frozenset(
+            block.vertices if isinstance(block, Block) else block
+        )
+        self._mask = mask_of(self.vertices)
+
+    def w_side(self, s):
+        if s.order >= self.k:
+            raise SeparationDoesNotDecide(
+                "order %d >= k=%d" % (s.order, self.k)
+            )
+        in_a = not self._mask & ~s.mask_a
+        in_b = not self._mask & ~s.mask_b
+        if in_a and in_b:
+            raise InvariantViolation("block inside a separator smaller than k")
+        if in_b:
+            return s.mask_b
+        if in_a:
+            return s.mask_a
+        raise InvariantViolation("block split by a separation of order < k")
+
+
+class ModelOrientation(Orientation):
+    """O_X: directed toward the side fully containing some branch set."""
+
+    def __init__(self, k, model):
+        super().__init__(k)
+        self._masks = [mask_of(s) for s in model.branch_sets]
+
+    def w_side(self, s):
+        if s.order >= self.k:
+            raise SeparationDoesNotDecide(
+                "order %d >= k=%d" % (s.order, self.k)
+            )
+        sep_m = s.mask_a & s.mask_b
+        only_a = s.mask_a & ~s.mask_b
+        only_b = s.mask_b & ~s.mask_a
+        side = None
+        for x in self._masks:
+            if x & sep_m:
+                continue
+            if x & only_a and x & only_b:
+                raise InvariantViolation("untouched branch set crosses sides")
+            here = s.mask_a if x & only_a else s.mask_b
+            if side is None:
+                side = here
+            elif side != here:
+                raise InvariantViolation(
+                    "untouched branch sets on opposite sides"
+                )
+        if side is None:
+            raise SeparationDoesNotDecide(
+                "every branch set meets the separator"
+            )
+        return side
+
+
+def orientations_agree(g, k, o1, o2, budget=DEFAULT_BUDGET, *, seps=None):
+    """True iff o1 and o2 direct every proper separation of order < k
+    the same way.
+
+    ``seps`` is ``enumerate_separations(g, k)`` from a caller that
+    already holds it.  The degenerate members of S_k, (V, X) with
+    |X| < k, are left out: a block orientation (the block has at least
+    k vertices, so one lies outside X) and the orientation of a K_m
+    model with m >= k (at least k disjoint branch sets, so one avoids
+    X) both answer V on each of them.  For such a pair the answer holds
+    over all of S_k.
+    """
+    if seps is None:
+        seps = enumerate_separations(g, k, budget=budget)
+    for s in seps:
+        if o1.w_side(s) != o2.w_side(s):
+            return False
+    return True
+
+
+def home_node(td, orientation):
+    """Unique sink of the edge orientation ``orientation`` induces on
+    the tree of ``td``."""
+    outdeg = {node: 0 for node in td.nodes}
+    for s, t in td.tree_edges:
+        sep = td.induced_separation(s, t)
+        w = orientation.w_side(sep)
+        if sep.mask_a == sep.mask_b:
+            # degenerate (B, B) edge carries no information
+            outdeg[s] += 1
+            continue
+        if w == sep.mask_b:
+            outdeg[s] += 1
+        elif w == sep.mask_a:
+            outdeg[t] += 1
+        else:
+            raise InconsistentOrientation("w_side returned a foreign side")
+    sinks = [node for node, d in outdeg.items() if d == 0]
+    if len(sinks) != 1:
+        raise InconsistentOrientation("no unique sink: %r" % (sorted(sinks),))
+    return sinks[0]
 
 
 class ExplicitOrientation(Orientation):

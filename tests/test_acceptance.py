@@ -9,9 +9,13 @@ import itertools
 import random
 
 from conftest import (
+    BlockOrientation,
+    ModelOrientation,
+    blocks_by_definition,
     build_k_atomic_exact,
     check_join_lemma,
     distinguishing_order,
+    home_node,
     is_separation,
     record_acceptance,
     small_corpus,
@@ -28,14 +32,11 @@ from topstruct.graph import (
 )
 from topstruct.lean import build_k_lean
 from topstruct.obstructions import (
-    BlockOrientation,
-    ModelOrientation,
     extract_subdivision,
     find_clique_model,
     find_k_blocks,
 )
 from topstruct.pipeline import Parameters, run_structure
-from topstruct.separations import enumerate_separations
 from topstruct.verifier import minor_oracle, verify_subdivision, verify_theorem
 
 CORPUS = small_corpus(101, 500, 12, probs=(0.2, 0.4, 0.7))
@@ -83,23 +84,6 @@ def test_criterion_2_leanness():
     _finish(2, "k-lean builder and exact minimum", failures)
 
 
-def _blocks_by_definition(g, k):
-    seps = list(enumerate_separations(g, k))
-    verts = sorted(g.vertices)
-    unsplit = []
-    for size in range(k, len(verts) + 1):
-        for combo in itertools.combinations(verts, size):
-            bset = frozenset(combo)
-            if not any(
-                not bset <= s.side_a and not bset <= s.side_b for s in seps
-            ):
-                unsplit.append(bset)
-    return sorted(
-        (b for b in unsplit if not any(b < o for o in unsplit)),
-        key=lambda b: tuple(sorted(b)),
-    )
-
-
 def test_criterion_3_block_oracle():
     failures = []
     for i, g in enumerate(CORPUS):
@@ -107,7 +91,7 @@ def test_criterion_3_block_oracle():
             continue
         for k in (2, 3):
             found = [frozenset(b.vertices) for b in find_k_blocks(g, k)]
-            expected = _blocks_by_definition(g, k)
+            expected = blocks_by_definition(g, k)
             if sorted(found, key=lambda b: tuple(sorted(b))) != expected:
                 failures.append((i, k))
     _finish(3, "k-blocks match definition", failures)
@@ -144,7 +128,7 @@ def test_criterion_5_efficient_distinction():
             block_homes = []
             for b in find_k_blocks(g, k):
                 o = BlockOrientation(k, frozenset(b.vertices))
-                block_homes.append((td.home_node(o), o))
+                block_homes.append((home_node(td, o), o))
             model_homes = []
             for t in sorted(td.nodes):
                 x = find_clique_model(g, m, require_meet=set(td.bags[t]))
@@ -227,9 +211,7 @@ def test_criterion_7_end_to_end():
                 failures.append((i, rep.failures))
     # prescribed branch vertices on a constructed instance
     k6 = complete_graph(6)
-    block = find_k_blocks(k6, p.k)[0]
-    model = find_clique_model(k6, p.m)
-    emb = extract_subdivision(k6, p.k, p.m, block, model, (2, 4))
+    emb = extract_subdivision(k6, (2, 4))
     if emb.branch_vertices != (2, 4) or not verify_subdivision(k6, 2, emb):
         failures.append("prescribed branch vertices")
     _finish(7, "end-to-end structure runs verified", failures)

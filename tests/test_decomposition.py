@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from conftest import ExplicitOrientation, is_separation
+from conftest import (
+    ExplicitOrientation,
+    InconsistentOrientation,
+    home_node,
+    is_separation,
+)
 
 from topstruct.decomposition import (
     TreeDecomposition,
@@ -12,7 +17,6 @@ from topstruct.decomposition import (
 )
 from topstruct.errors import (
     FormatError,
-    InconsistentOrientation,
     NotAnEdge,
     NotASubtree,
 )
@@ -173,7 +177,7 @@ def test_home_node():
             pairs.append((s, w))
         return ExplicitOrientation.from_w_sides(k, pairs)
 
-    assert td.home_node(orient(4)) == 3
+    assert home_node(td, orient(4)) == 3
     # flipping one edge away from the path creates two sinks
     s12 = td.induced_separation(1, 2)
     s23 = td.induced_separation(2, 3)
@@ -181,7 +185,7 @@ def test_home_node():
         4, [(s12, s12.side_a), (s23, s23.side_b)]
     )
     with pytest.raises(InconsistentOrientation):
-        td.home_node(bad)
+        home_node(td, bad)
 
 
 def test_td_round_trip():

@@ -4,9 +4,12 @@ import random
 import pytest
 
 from conftest import (
+    BlockOrientation,
+    ModelOrientation,
     check_join_lemma,
     distinguishing_order,
     full_s_k,
+    orientations_agree,
     planar_3_tree,
     small_corpus,
     surplus_refutes,
@@ -19,7 +22,6 @@ from topstruct.errors import (
     Budget,
     BudgetExceeded,
     CoverageImpossible,
-    OrientationMismatch,
 )
 from topstruct.graph import (
     Graph,
@@ -33,8 +35,7 @@ from topstruct.graph import (
 from topstruct.lean import build_k_lean, lean_step_trace
 from topstruct.obstructions import (
     DEFAULT_BUDGET,
-    BlockOrientation,
-    ModelOrientation,
+    extract_subdivision,
     find_clique_model,
     find_k_blocks,
     refutes_clique_minor,
@@ -183,54 +184,106 @@ def test_contract_blue_numbers_two_blue_components():
     assert oc.f_edges == {(1, 9), (9, 13), (9, 14)} == out.tree_edges
 
 
-@pytest.mark.xfail(strict=True, raises=OrientationMismatch)
+# At (k, m) = (4, 4), lean node 19 is the home of the block
+# {4, 6, 8, 9, 11} and of the model [[3, 4, 6, 8], [11], [9], [1]], and
+# the two orient the order-3 separation ({1, 2, 3, 9, 11}, {3, ..., 11})
+# apart: only the branch set [1] avoids its separator.
+MISMATCH_GRAPH = Graph.from_edges(11, [
+    (1, 2), (1, 3), (1, 9), (1, 11), (3, 4), (3, 8), (4, 6), (4, 8),
+    (4, 11), (5, 6), (5, 10), (5, 11), (6, 8), (6, 9), (7, 8), (7, 9),
+    (7, 10), (8, 9), (8, 11), (9, 11), (10, 11),
+])
+
+
 def test_subdivision_exit_orientation_mismatch():
-    """A known defect at (k, m) = (4, 4).  Lean node 19 is the home of
-    the block {4, 6, 8, 9, 11} and of the model [[3, 4, 6, 8], [11], [9],
-    [1]], yet the two orient the order-3 separation ({1, 2, 3, 9, 11},
-    {3, ..., 11}) apart: only the branch set [1] avoids its separator."""
-    g = Graph.from_edges(11, [
-        (1, 2), (1, 3), (1, 9), (1, 11), (3, 4), (3, 8), (4, 6), (4, 8),
-        (4, 11), (5, 6), (5, 10), (5, 11), (6, 8), (6, 9), (7, 8), (7, 9),
-        (7, 10), (8, 9), (8, 11), (9, 11), (10, 11),
-    ])
-    run_structure(g, Parameters.generalized_km(4, 4))
+    """The block and the model at the shared home orient an order-3
+    separation apart, but the exit needs agreement only below order
+    r(r−1) = 2, so the run ends in a subdivision."""
+    params = Parameters.generalized_km(4, 4)
+    res = run_structure(MISMATCH_GRAPH, params)
+    assert res.variant == "subdivision"
+    assert verify_subdivision(MISMATCH_GRAPH, params.r, res.subdivision)
 
 
-# The pairs with m = k >= 4 are left out: they hit the subdivision-exit
-# orientation mismatch that the strict xfail above pins.
 SOAK_PAIRS = (
-    (2, 3), (2, 5), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (4, 7),
-    (5, 6), (5, 9), (6, 11),
+    (2, 3), (2, 5), (3, 4), (3, 5), (3, 6), (4, 4), (4, 5), (4, 6),
+    (4, 7), (5, 5), (5, 6), (5, 9), (6, 11),
 )
 
 
-def test_run_structure_soak_over_k_and_m():
-    """Over 100 seeded graphs per (k, m) pair, every run ends in a
-    subdivision that ``verify_subdivision`` accepts, a decomposition
-    that ``verify_theorem`` passes, or a spent budget.  The floors and
-    the ceiling are those of a reading of 209 subdivisions, 890
-    decompositions and 1 spent budget."""
-    ends = {"subdivision": 0, "decomposition": 0, "budget": 0}
+@pytest.fixture(scope="module")
+def soak_runs():
+    """(parameters, graph, result) of ``run_structure`` on 100 seeded
+    graphs per (k, m) pair of SOAK_PAIRS, at a budget of 200,000; the
+    result is None where the budget ran out."""
+    runs = []
     for k, m in SOAK_PAIRS:
         params = Parameters.generalized_km(k, m)
         for g in small_corpus(100 * k + m, 100, 12):
             try:
                 res = run_structure(g, params, budget=200_000)
             except BudgetExceeded:
-                ends["budget"] += 1
-                continue
-            if res.variant == "subdivision":
-                assert verify_subdivision(g, params.r, res.subdivision)
-            else:
-                rep = verify_theorem(g, params, res, budget=200_000)
-                assert not rep.failures, (k, m, rep.failures)
-                if rep.unverified:
-                    ends["budget"] += 1
-                    continue
-            ends[res.variant] += 1
-    assert ends["subdivision"] >= 200 and ends["decomposition"] >= 850
+                res = None
+            runs.append((params, g, res))
+    return tuple(runs)
+
+
+def test_run_structure_soak_over_k_and_m(soak_runs):
+    """Over the soak runs, every run ends in a subdivision that
+    ``verify_subdivision`` accepts, a decomposition that
+    ``verify_theorem`` passes, or a spent budget.  The floors and the
+    ceiling are those of a reading of 253 subdivisions, 1,044
+    decompositions and 3 spent budgets."""
+    ends = {"subdivision": 0, "decomposition": 0, "budget": 0}
+    for params, g, res in soak_runs:
+        if res is None:
+            ends["budget"] += 1
+        elif res.variant == "subdivision":
+            assert verify_subdivision(g, params.r, res.subdivision)
+            ends["subdivision"] += 1
+        else:
+            rep = verify_theorem(g, params, res, budget=200_000)
+            assert not rep.failures, (params, rep.failures)
+            ends["budget" if rep.unverified else "decomposition"] += 1
+    assert ends["subdivision"] >= 240 and ends["decomposition"] >= 1000
     assert ends["budget"] <= 5
+
+
+def test_shared_homes_agree_below_the_copy_set_order(soak_runs):
+    """Wherever a k-block and a K_m model share a home node t, in the
+    soak runs and on MISMATCH_GRAPH, the two orient every separation
+    of order < r(r−1) alike, as the leanness argument in
+    ``extract_subdivision`` says, and the extraction from the block's
+    r smallest vertices returns a verified subdivision.  The floor is
+    that of a reading of 291 shared homes.  Agreement over all of S_k
+    fails at one of them, on MISMATCH_GRAPH, so an S_k-wide check would
+    refuse an exit that exists."""
+    params = Parameters.generalized_km(4, 4)
+    runs = soak_runs + (
+        (params, MISMATCH_GRAPH, run_structure(MISMATCH_GRAPH, params)),
+    )
+    shared = wider = 0
+    for params, g, res in runs:
+        if res is None:
+            continue
+        k, m, td = params.k, params.m, res.lean
+        z = params.r * (params.r - 1)
+        for b in res.blocks:
+            (t,) = [t for t in td.nodes if b.vertices <= td.bags[t]]
+            if t not in res.model_nodes:
+                continue
+            model = find_clique_model(g, m, require_meet=td.bags[t])
+            seps = enumerate_separations(g, k)
+            below = [s for s in seps if s.order < z]
+            o_b, o_x = BlockOrientation(k, b), ModelOrientation(k, model)
+            assert orientations_agree(g, k, o_b, o_x, seps=below)
+            wider += not orientations_agree(g, k, o_b, o_x, seps=seps)
+            b0 = tuple(sorted(b.vertices)[: params.r])
+            emb = extract_subdivision(g, b0)
+            assert emb is not None and emb.branch_vertices == b0
+            assert verify_subdivision(g, params.r, emb)
+            shared += 1
+    assert shared >= 270 and wider >= 1
 
 
 def test_check_join_lemma_simple():
@@ -292,9 +345,13 @@ def test_run_structure_two_k5s():
 
 
 def test_run_structure_enumerates_s_k_once(monkeypatch):
-    """The lean builder and the subdivision exit share one S_k(G)."""
+    """The lean builder and the k-block relation share one S_k(G), and
+    the subdivision exit enumerates none: ``obstructions`` does not
+    import the enumerator."""
     from topstruct import decomposition, lean, obstructions
     from topstruct.separations import enumerate_separations
+
+    assert not hasattr(obstructions, "enumerate_separations")
 
     calls = []
 
@@ -302,7 +359,7 @@ def test_run_structure_enumerates_s_k_once(monkeypatch):
         calls.append(k)
         return enumerate_separations(g, k, *args, **kwargs)
 
-    for module in (pipeline, lean, decomposition, obstructions):
+    for module in (pipeline, lean, decomposition):
         monkeypatch.setattr(module, "enumerate_separations", counting)
     two_k5s = Graph.from_edges(
         8,
@@ -407,7 +464,7 @@ def test_model_homes_match_unpruned_search():
                 got = pipeline._model_home_nodes(
                     g, m, td, budget=DEFAULT_BUDGET
                 )
-                assert set(got) == want
+                assert got == want
                 homes_seen += bool(want)
                 empty_seen += not want
     assert homes_seen > 5 and empty_seen > 5 and width_only > 0
@@ -423,13 +480,13 @@ def test_model_homes_skip_search_below_edge_count(monkeypatch):
     monkeypatch.setattr(pipeline, "find_clique_model", counting)
     g = cycle_graph(8)  # 8 vertices, but K_5 needs 10 edges
     td = TreeDecomposition.single_bag(g.vertices)
-    assert pipeline._model_home_nodes(g, 5, td, budget=DEFAULT_BUDGET) == {}
+    assert pipeline._model_home_nodes(g, 5, td, budget=DEFAULT_BUDGET) == set()
     assert calls == []
     # K_5 has exactly as many edges as it needs, so the search runs
     k5 = complete_graph(5)
     td = TreeDecomposition.single_bag(k5.vertices)
     homes = pipeline._model_home_nodes(k5, 5, td, budget=DEFAULT_BUDGET)
-    assert set(homes) == {1}
+    assert homes == {1}
     assert len(calls) == 1
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     ExplicitOrientation,
+    SeparationDoesNotDecide,
     brute_min_vertex_cut,
     degenerate_members,
     full_s_k,
@@ -17,7 +18,6 @@ from topstruct.errors import (
     AdjacentPair,
     Budget,
     BudgetExceeded,
-    SeparationDoesNotDecide,
 )
 from topstruct.graph import (
     complete_bipartite,
