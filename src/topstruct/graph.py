@@ -71,9 +71,6 @@ class Graph:
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
 
-    def neighbors(self, v):
-        return set_of(self._adj[v])
-
     def degree(self, v):
         return self._adj[v].bit_count()
 
@@ -81,11 +78,6 @@ class Graph:
         return sorted(self.edges)
 
     # -- connectivity --------------------------------------------------
-
-    def components(self, within=None):
-        """Vertex sets of the components of G (or of G[within])."""
-        mask = self.vertex_mask if within is None else mask_of(within)
-        return [set_of(c) for c in _kernels.components(self._adj, mask)]
 
     def component_masks(self, mask):
         return _kernels.components(self._adj, mask)

@@ -152,25 +152,23 @@ class _ModelSearch:
     skipped, in that order.  Trying to open first reaches a model in a
     dense graph long before growing one huge set and backtracking out of
     it would.  Sets are opened in processing order, which breaks the
-    set-permutation symmetry.  With ``seeds``, every set is pre-opened
-    with its seed vertex and no further sets may open (Z-based mode).
-    ``require_meet`` restricts to models whose every branch set meets
-    the given vertex set.
+    set-permutation symmetry.  The search has two modes: free, and
+    seeded (Z-based), where every set is pre-opened with its seed
+    vertex and no further sets may open.
 
     ``_feasible(remaining)`` asks whether the open sets can still grow,
     from the vertices of ``remaining``, into a model.  A complete model
     is a feasible state with no vertex left: with ``remaining`` empty,
-    each set must already be non-empty, connected and meet the required
-    set, and each pair joined by an edge.  So one predicate decides both
-    completeness and pruning, and a prune added to it must accept every
-    complete assignment.
+    each set (never empty: it opens with a vertex) must already be
+    connected, and each pair joined by an edge.  So one predicate decides both completeness and
+    pruning, and a prune added to it must accept every complete
+    assignment.
     """
 
-    def __init__(self, g, m, budget, require_meet=None, seeds=None):
+    def __init__(self, g, m, budget, seeds=None):
         self.g = g
         self.m = m
         self.budget = Budget.of(budget)
-        self.meet = g.vertex_mask if require_meet is None else mask_of(require_meet)
         if seeds is None:
             self.sets = []
             excluded = 0
@@ -229,12 +227,7 @@ class _ModelSearch:
             if remaining.bit_count() < self.m - opened:
                 return False
         for s in self.sets:
-            if s == 0:
-                return False
-            avail = s | remaining
-            if g.reachable_mask(s & -s, avail) & s != s:
-                return False
-            if not avail & self.meet:
+            if g.reachable_mask(s & -s, s | remaining) & s != s:
                 return False
         for a, b in itertools.combinations(self.sets, 2):
             if self._joined(a, b):
@@ -306,11 +299,11 @@ def refutes_clique_minor(g, m):
     return True
 
 
-def find_clique_model(g, m, budget=DEFAULT_BUDGET, require_meet=None):
+def find_clique_model(g, m, budget=DEFAULT_BUDGET):
     """A model of K_m in g, or None; exact backtracking search."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _ModelSearch(g, m, budget, require_meet=require_meet).run()
+    return _ModelSearch(g, m, budget).run()
 
 
 def find_z_based_model(g, z, budget=DEFAULT_BUDGET):

@@ -9,6 +9,7 @@ whose blue torsos have no large clique minor.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .decomposition import TreeDecomposition
 from .errors import (
@@ -22,8 +23,8 @@ from .lean import build_k_lean
 from .obstructions import (
     branch_count_fits,
     extract_subdivision,
-    find_clique_model,
     find_k_blocks,
+    find_z_based_model,
     refutes_clique_minor,
 )
 from .separations import enumerate_separations, is_tight
@@ -202,23 +203,26 @@ def _model_home_nodes(g, m, td, budget):
     """The set of nodes t for which some K_m model has every branch set
     meeting the bag V_t: the homes of K_m models.
 
-    The constrained search decides each node directly; the models it
-    finds are not kept.  Two exact prunes skip searches that cannot
-    succeed: ``refutes_clique_minor`` on g refutes every node at once,
-    and m disjoint branch sets cannot all meet a bag of fewer than m
-    vertices.  For m ≤ 3 the refutation is only a vertex and edge
-    count: its degree-2 contraction would turn a triangle into an edge.
+    Such a model exists iff some m vertices Z ⊆ V_t seed a Z-based K_m
+    model.  Given the model, pick one V_t vertex in each branch set;
+    given the Z-based model, each branch set holds its seed, which lies
+    in V_t.  So t is a home iff one of the m-subsets of V_t, tried in
+    lexicographic order, seeds a model; a bag of fewer than m vertices
+    has none.  The models found are not kept.  ``refutes_clique_minor``
+    on g refutes every node at once; for m ≤ 3 it is only a vertex and
+    edge count, since its degree-2 contraction would turn a triangle
+    into an edge.
     """
-    homes = set()
     if refutes_clique_minor(g, m):
-        return homes
-    for t in sorted(td.nodes):
-        if len(td.bags[t]) < m:
-            continue
-        model = find_clique_model(g, m, budget=budget, require_meet=td.bags[t])
-        if model is not None:
-            homes.add(t)
-    return homes
+        return set()
+    return {
+        t
+        for t in sorted(td.nodes)
+        if any(
+            find_z_based_model(g, z, budget=budget) is not None
+            for z in combinations(sorted(td.bags[t]), m)
+        )
+    }
 
 
 def run_structure(g, params, budget=DEFAULT_BUDGET):

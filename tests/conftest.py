@@ -6,12 +6,15 @@ they check: cuts by subset enumeration, blocks straight from the
 definition, models by validation of explicit candidates.  The reference
 checks of the theory (the exact minimum-fatness builder, the
 orientations of blocks and models and the home node of an orientation,
-the join and RS lemma checks) are test code as well: no module of the
-package imports this file.
+the join and RS lemma checks, the meet search that model homes are
+compared with) are test code as well: no module of the package imports
+this file.
 """
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +25,15 @@ from topstruct.errors import (
     InvariantViolation,
     PreconditionFailed,
 )
-from topstruct.graph import Graph, bits, mask_of, random_graph, set_of
-from topstruct.obstructions import Block, find_z_based_model
+from topstruct.graph import (
+    Graph,
+    bits,
+    mask_of,
+    petersen_graph,
+    random_graph,
+    set_of,
+)
+from topstruct.obstructions import Block, Model, find_z_based_model
 from topstruct.separations import (
     Separation,
     enumerate_separations,
@@ -44,6 +54,20 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+# -- graph helpers -------------------------------------------------------
+
+
+def neighbors(g, v):
+    """The neighbours of v in g, as a set."""
+    return set_of(g.adj[v])
+
+
+def components(g, within=None):
+    """Vertex sets of the components of g, or of g[within]."""
+    mask = g.vertex_mask if within is None else mask_of(within)
+    return [set_of(c) for c in g.component_masks(mask)]
+
+
 # -- independent oracles -------------------------------------------------
 
 
@@ -55,7 +79,7 @@ def brute_reachable(g, start, removed):
         if v in seen or v in removed:
             continue
         seen.add(v)
-        for w in g.neighbors(v):
+        for w in neighbors(g, v):
             if w not in seen and w not in removed:
                 stack.append(w)
     return seen
@@ -157,7 +181,7 @@ def surplus_refutes(g, m):
     refuted when fewer than m vertices remain or |E| − (|V| − m) falls
     below m(m−1)/2.
     """
-    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+    nbrs = {v: neighbors(g, v) for v in g.vertices}
     low = [v for v in nbrs if len(nbrs[v]) <= 2]
     while low:
         v = low.pop()
@@ -175,7 +199,7 @@ def min_degree_width(g):
     """Width of the greedy elimination ordering that always removes a
     vertex of least degree, lowest label first, after joining its
     neighbours into a clique: an upper bound on the treewidth."""
-    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+    nbrs = {v: neighbors(g, v) for v in g.vertices}
     width = 0
     while nbrs:
         v = min(nbrs, key=lambda u: (len(nbrs[u]), u))
@@ -418,6 +442,84 @@ def check_join_lemma(g, td, s, t, budget=DEFAULT_BUDGET):
     return model is not None
 
 
+class _MeetingModelSearch:
+    """The clique-model search with every branch set required to meet
+    the vertex set ``meet``: the search that decided model homes before
+    they were read off Z-based models.  Its search order is the free
+    search's, and ``_feasible`` also fails a set that can no longer
+    meet ``meet``."""
+
+    def __init__(self, g, m, meet, budget):
+        self.g = g
+        self.m = m
+        self.meet = mask_of(meet)
+        self.budget = budget
+        self.sets = []
+        self.order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+        self.suffixes = [0] * (len(self.order) + 1)
+        for i in range(len(self.order) - 1, -1, -1):
+            self.suffixes[i] = self.suffixes[i + 1] | 1 << self.order[i]
+
+    def _rec(self, i):
+        self.budget.charge("model search")
+        if len(self.sets) == self.m and self._feasible(0):
+            return Model(tuple(frozenset(set_of(s)) for s in self.sets), self.m)
+        if i == len(self.order) or not self._feasible(self.suffixes[i]):
+            return None
+        vm = 1 << self.order[i]
+        if len(self.sets) < self.m:
+            self.sets.append(vm)
+            found = self._rec(i + 1)
+            self.sets.pop()
+            if found is not None:
+                return found
+        for j in range(len(self.sets)):
+            self.sets[j] |= vm
+            found = self._rec(i + 1)
+            self.sets[j] &= ~vm
+            if found is not None:
+                return found
+        return self._rec(i + 1)
+
+    def _feasible(self, remaining):
+        g = self.g
+        if len(self.sets) < self.m and remaining.bit_count() < self.m - len(
+            self.sets
+        ):
+            return False
+        for s in self.sets:
+            avail = s | remaining
+            if g.reachable_mask(s & -s, avail) & s != s:
+                return False
+            if not avail & self.meet:
+                return False
+        for a, b in itertools.combinations(self.sets, 2):
+            if any(g.adj[v] & b for v in bits(a)):
+                continue
+            if not remaining or not g.reachable_mask(a, a | b | remaining) & b:
+                return False
+        return True
+
+
+def find_meeting_model(g, m, meet, budget=DEFAULT_BUDGET):
+    """A K_m model of g whose every branch set meets ``meet``, or None;
+    exact backtracking, the reference for model homes."""
+    if m == 0:
+        return Model((), 0)
+    return _MeetingModelSearch(g, m, meet, Budget.of(budget))._rec(0)
+
+
+def meeting_homes(g, m, td, budget=DEFAULT_BUDGET):
+    """The nodes t of td with a K_m model whose every branch set meets
+    V_t, by the meet search on each bag of at least m vertices."""
+    return {
+        t
+        for t in sorted(td.nodes)
+        if len(td.bags[t]) >= m
+        and find_meeting_model(g, m, td.bags[t], budget) is not None
+    }
+
+
 def overlay_clique(g, z):
     """G^Z: make the vertices of z pairwise adjacent."""
     zs = sorted(z)
@@ -557,6 +659,25 @@ def planar_3_tree(n, rng):
     return Graph.from_edges(n, edges)
 
 
+def octahedron_petersen(seed):
+    """The octahedron K_{2,2,2} on 1..6 (parts {1, 4}, {2, 5}, {3, 6})
+    and the Petersen graph on 7..16, joined by 1–3 random edges.
+
+    The octahedron is planar and 4-connected: a 4-block with no K_5
+    minor.  The Petersen graph is cubic, so it holds no 4-block, but it
+    has a K_5 minor.  At (k, m) = (4, 5) the runs reach both colours
+    and the F edges between them.
+    """
+    rng = random.Random(seed)
+    octahedron = [
+        (u, v) for u, v in itertools.combinations(range(1, 7), 2) if v != u + 3
+    ]
+    petersen = [(u + 6, v + 6) for u, v in petersen_graph().edges]
+    cross = list(itertools.product(range(1, 7), range(7, 17)))
+    joins = rng.sample(cross, rng.randint(1, 3))
+    return Graph.from_edges(16, octahedron + petersen + joins)
+
+
 def small_corpus(seed, count, max_n, probs=(0.2, 0.4, 0.7), min_n=1):
     rng = random.Random(seed)
     out = []
@@ -564,6 +685,20 @@ def small_corpus(seed, count, max_n, probs=(0.2, 0.4, 0.7), min_n=1):
         n = rng.randint(min_n, max_n)
         out.append(random_graph(n, rng.choice(probs), rng))
     return out
+
+
+def perfbench_corpora(seed=1, *names):
+    """The graphs of the named benchmark workloads, or of all three, at
+    ``seed``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [
+        g
+        for name in names or workloads.WORKLOADS
+        for g in workloads.make_graphs(workloads.WORKLOADS[name], seed, Graph)
+    ]
 
 
 @pytest.fixture

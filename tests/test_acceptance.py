@@ -15,6 +15,7 @@ from conftest import (
     build_k_atomic_exact,
     check_join_lemma,
     distinguishing_order,
+    find_meeting_model,
     home_node,
     is_separation,
     record_acceptance,
@@ -131,7 +132,7 @@ def test_criterion_5_efficient_distinction():
                 block_homes.append((home_node(td, o), o))
             model_homes = []
             for t in sorted(td.nodes):
-                x = find_clique_model(g, m, require_meet=set(td.bags[t]))
+                x = find_meeting_model(g, m, td.bags[t])
                 if x is not None:
                     model_homes.append((t, ModelOrientation(k, x)))
             for (tb, ob), (tx, ox) in itertools.product(

@@ -8,8 +8,12 @@ from conftest import (
     ModelOrientation,
     check_join_lemma,
     distinguishing_order,
+    find_meeting_model,
     full_s_k,
+    meeting_homes,
+    octahedron_petersen,
     orientations_agree,
+    perfbench_corpora,
     planar_3_tree,
     small_corpus,
     surplus_refutes,
@@ -36,8 +40,8 @@ from topstruct.lean import build_k_lean, lean_step_trace
 from topstruct.obstructions import (
     DEFAULT_BUDGET,
     extract_subdivision,
-    find_clique_model,
     find_k_blocks,
+    find_z_based_model,
     refutes_clique_minor,
     serialize_subdivision,
 )
@@ -50,7 +54,7 @@ from topstruct.pipeline import (
     select_f,
 )
 from topstruct.separations import enumerate_separations
-from topstruct.verifier import verify_subdivision, verify_theorem
+from topstruct.verifier import minor_oracle, verify_subdivision, verify_theorem
 
 
 def two_triangles_joined():
@@ -99,7 +103,7 @@ def test_distinguishing_order_cut_vertex():
 def test_distinguishing_order_block_vs_model():
     g = two_triangles_joined()
     o1 = BlockOrientation(2, frozenset({1, 2, 3}))
-    model = find_clique_model(g, 3, require_meet={3, 4, 5})
+    model = find_meeting_model(g, 3, {3, 4, 5})
     o2 = ModelOrientation(2, model)
     assert distinguishing_order(g, o1, o2) == 1
 
@@ -230,10 +234,10 @@ def soak_runs():
 
 def test_run_structure_soak_over_k_and_m(soak_runs):
     """Over the soak runs, every run ends in a subdivision that
-    ``verify_subdivision`` accepts, a decomposition that
-    ``verify_theorem`` passes, or a spent budget.  The floors and the
-    ceiling are those of a reading of 253 subdivisions, 1,044
-    decompositions and 3 spent budgets."""
+    ``verify_subdivision`` accepts or a decomposition that
+    ``verify_theorem`` passes, and none spends its budget.  The floors
+    are those of a reading of 255 subdivisions and 1,045
+    decompositions."""
     ends = {"subdivision": 0, "decomposition": 0, "budget": 0}
     for params, g, res in soak_runs:
         if res is None:
@@ -245,8 +249,29 @@ def test_run_structure_soak_over_k_and_m(soak_runs):
             rep = verify_theorem(g, params, res, budget=200_000)
             assert not rep.failures, (params, rep.failures)
             ends["budget" if rep.unverified else "decomposition"] += 1
-    assert ends["subdivision"] >= 240 and ends["decomposition"] >= 1000
-    assert ends["budget"] <= 5
+    assert ends["subdivision"] >= 255 and ends["decomposition"] >= 1045
+    assert ends["budget"] == 0
+
+
+def test_model_homes_match_the_meet_search_reference(soak_runs):
+    """Some m vertices of V_t seed a Z-based K_m model iff some K_m
+    model has every branch set meeting V_t.  So the home sets of the
+    soak runs, and of the benchmark's ``corpus`` graphs at seeds 1 and
+    2, equal those of the meet search in ``tests/conftest.py``, which
+    finishes within 2,000,000 units on each graph.  The floor is that
+    of a reading of 412 graphs with a home."""
+    params = Parameters.generalized_km(3, 6)
+    runs = soak_runs + tuple(
+        (params, g, run_structure(g, params))
+        for seed in (1, 2)
+        for g in perfbench_corpora(seed, "corpus")
+    )
+    with_home = 0
+    for params, g, res in runs:
+        want = meeting_homes(g, params.m, res.lean, Budget(2_000_000))
+        assert res.model_nodes == want, (params, g.sorted_edges())
+        with_home += bool(want)
+    assert with_home >= 412
 
 
 def test_shared_homes_agree_below_the_copy_set_order(soak_runs):
@@ -272,7 +297,7 @@ def test_shared_homes_agree_below_the_copy_set_order(soak_runs):
             (t,) = [t for t in td.nodes if b.vertices <= td.bags[t]]
             if t not in res.model_nodes:
                 continue
-            model = find_clique_model(g, m, require_meet=td.bags[t])
+            model = find_meeting_model(g, m, td.bags[t])
             seps = enumerate_separations(g, k)
             below = [s for s in seps if s.order < z]
             o_b, o_x = BlockOrientation(k, b), ModelOrientation(k, model)
@@ -411,8 +436,6 @@ def test_run_structure_reads_the_block_relation_off_s_k(monkeypatch):
 
 def test_run_structure_lemma_properties():
     """Coloring totality, join lemma on F edges, blue torsos minor-free."""
-    from topstruct.verifier import minor_oracle
-
     rng = random.Random(71)
     p = Parameters.generalized_km(3, 6)
     runs = 0
@@ -434,6 +457,70 @@ def test_run_structure_lemma_properties():
                 torso, _ = res.decomposition.torso_at_node(g, t)
                 assert not minor_oracle(torso, p.m)
     assert runs > 5
+
+
+def test_octahedron_petersen_family_reaches_the_red_half():
+    """At (4, 5) each of the 30 seeded ``octahedron_petersen`` graphs
+    ends, within 2,000,000 units, in a verified subdivision or a
+    verified decomposition.  In each decomposition:
+
+    - every F edge has the least order on the tree path between a
+      block home and a model home, and one that joins a blue and a red
+      node satisfies the join lemma toward its red end;
+    - the contracted decomposition keeps those F edges, renamed: they
+      are exactly its tree edges between the two colours;
+    - no blue torso has a K_5 minor, and every red torso has fewer than
+      k vertices of degree at least 2k².
+
+    The floors are those of a reading of 10 subdivisions, 20
+    decompositions, 21 F edges (20 of them between the colours) and
+    117 red nodes."""
+    params = Parameters.generalized_km(4, 5)
+    k, m = params.k, params.m
+    ends = {"subdivision": 0, "decomposition": 0}
+    f_checked = joins_checked = red_checked = 0
+    for seed in range(30):
+        g = octahedron_petersen(seed)
+        res = run_structure(g, params, budget=2_000_000)
+        ends[res.variant] += 1
+        if res.variant == "subdivision":
+            assert verify_subdivision(g, params.r, res.subdivision)
+            continue
+        assert verify_theorem(g, params, res).passed
+        lean, lc = res.lean, res.lean_coloring
+        block_homes = [
+            t for t in lean.nodes if any(b.vertices <= lean.bags[t] for b in res.blocks)
+        ]
+        bichromatic = 0
+        for a, b in sorted(lc.f_edges):
+            assert any(
+                {a, b} in map(set, lean.path_edges(tb, tx))
+                and lean.edge_order(a, b) == lean.min_order_on_path(tb, tx)
+                for tb in block_homes
+                for tx in res.model_nodes
+            ), seed
+            if lc.color[a] == lc.color[b]:
+                continue
+            s, t = (a, b) if lc.color[a] == "blue" else (b, a)
+            assert check_join_lemma(g, lean, s, t), seed
+            bichromatic += 1
+        td, color = res.decomposition, res.coloring.color
+        assert res.coloring.f_edges == {
+            e for e in td.tree_edges if color[e[0]] != color[e[1]]
+        }, seed
+        assert len(res.coloring.f_edges) == bichromatic, seed
+        f_checked += len(lc.f_edges)
+        joins_checked += bichromatic
+        for t in sorted(td.nodes):
+            torso, _ = td.torso_at_node(g, t)
+            if color[t] == "blue":
+                assert not minor_oracle(torso, m), seed
+            else:
+                high = sum(torso.degree(v) >= 2 * k * k for v in torso.vertices)
+                assert high < k, seed
+                red_checked += 1
+    assert ends["subdivision"] >= 10 and ends["decomposition"] >= 20
+    assert f_checked >= 21 and joins_checked >= 20 and red_checked >= 117
 
 
 def test_model_homes_match_unpruned_search():
@@ -458,8 +545,7 @@ def test_model_homes_match_unpruned_search():
                 want = {
                     t
                     for t in sorted(td.nodes)
-                    if find_clique_model(g, m, require_meet=td.bags[t])
-                    is not None
+                    if find_meeting_model(g, m, td.bags[t]) is not None
                 }
                 got = pipeline._model_home_nodes(
                     g, m, td, budget=DEFAULT_BUDGET
@@ -475,9 +561,9 @@ def test_model_homes_skip_search_below_edge_count(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return find_clique_model(*args, **kwargs)
+        return find_z_based_model(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "find_clique_model", counting)
+    monkeypatch.setattr(pipeline, "find_z_based_model", counting)
     g = cycle_graph(8)  # 8 vertices, but K_5 needs 10 edges
     td = TreeDecomposition.single_bag(g.vertices)
     assert pipeline._model_home_nodes(g, 5, td, budget=DEFAULT_BUDGET) == set()
@@ -487,7 +573,7 @@ def test_model_homes_skip_search_below_edge_count(monkeypatch):
     td = TreeDecomposition.single_bag(k5.vertices)
     homes = pipeline._model_home_nodes(k5, 5, td, budget=DEFAULT_BUDGET)
     assert homes == {1}
-    assert len(calls) == 1
+    assert len(calls) == 1  # the bag's one 5-subset seeds the model
 
 
 _SCALING_FIXTURES = {
@@ -508,9 +594,9 @@ def test_grids_refuted_without_model_search(monkeypatch, name):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return find_clique_model(*args, **kwargs)
+        return find_z_based_model(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "find_clique_model", counting)
+    monkeypatch.setattr(pipeline, "find_z_based_model", counting)
     g = _SCALING_FIXTURES[name]()
     params = Parameters.generalized_km(3, 6)
     result = run_structure(g, params)

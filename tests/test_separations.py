@@ -7,6 +7,7 @@ from conftest import (
     ExplicitOrientation,
     SeparationDoesNotDecide,
     brute_min_vertex_cut,
+    components,
     degenerate_members,
     full_s_k,
     is_separation,
@@ -164,7 +165,7 @@ def test_enumeration_charges_every_candidate_separator():
             for size in range(min(k, g.n + 1)):
                 for x in itertools.combinations(sorted(g.vertices), size):
                     rest = set(g.vertices) - set(x)
-                    want += 1 << len(g.components(rest))
+                    want += 1 << len(components(g, rest))
             meter = Budget(want)
             enumerate_separations(g, k, budget=meter)
             assert meter.spent == want
