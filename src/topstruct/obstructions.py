@@ -154,15 +154,44 @@ class _ModelSearch:
     it would.  Sets are opened in processing order, which breaks the
     set-permutation symmetry.  The search has two modes: free, and
     seeded (Z-based), where every set is pre-opened with its seed
-    vertex and no further sets may open.
+    vertex and no further sets may open.  Beside each open set it keeps
+    the set's neighbourhood mask, the union of ``adj[v]`` over its
+    vertices, so two sets are joined by an edge iff one's mask meets
+    the other set.  ``_feasible`` reads the unjoined pairs off these
+    masks before it runs any closure, and runs none for a one-vertex
+    set, which is connected.
 
     ``_feasible(remaining)`` asks whether the open sets can still grow,
     from the vertices of ``remaining``, into a model.  A complete model
     is a feasible state with no vertex left: with ``remaining`` empty,
     each set (never empty: it opens with a vertex) must already be
-    connected, and each pair joined by an edge.  So one predicate decides both completeness and
-    pruning, and a prune added to it must accept every complete
-    assignment.
+    connected, and each pair joined by an edge.  So one predicate
+    decides both completeness and pruning, and a prune added to it must
+    accept every complete assignment.
+
+    The cover bound is such a prune.  It runs only when all m sets are
+    open and ``remaining`` is not empty; each set then ends as itself
+    plus some vertices of ``remaining``, the sets staying disjoint.
+    Call a pair of sets unjoined when no edge joins them yet.
+
+    - A set S with more unjoined partners than remaining neighbours
+      (vertices of ``remaining`` adjacent to S) must take a remaining
+      vertex.  If S took none, each unjoined partner T would have to
+      take a remaining neighbour of S to be joined to S, and disjoint
+      partners take distinct ones.  Call such an S forced.
+    - Of two unjoined sets, at least one must take a remaining vertex,
+      or they stay unjoined.  So in a matching of unjoined pairs among
+      the sets that are not forced, each pair has its own set that must
+      grow, apart from every forced set.
+
+    Every set that grows takes a remaining vertex of its own, so a
+    model below the current state needs at least (forced sets) +
+    (matched pairs) remaining vertices, whichever maximal matching is
+    taken; a greedy one is.  The bound prunes only when fewer remain.
+    It never refuses a state that is a complete model already, with or
+    without vertices left: there no pair is unjoined, so it asks for
+    none.  So it cuts only subtrees that hold no model, and the first
+    model found is the one the unpruned search finds.
     """
 
     def __init__(self, g, m, budget, seeds=None):
@@ -175,6 +204,7 @@ class _ModelSearch:
         else:
             self.sets = [1 << v for v in sorted(seeds)]
             excluded = mask_of(seeds)
+        self.nbrs = [g.adj[s.bit_length() - 1] for s in self.sets]
         self.order = sorted(
             (v for v in g.vertices if not (excluded >> v) & 1),
             key=lambda v: (-g.degree(v), v),
@@ -194,47 +224,82 @@ class _ModelSearch:
 
     def _rec(self, i):
         self.budget.charge("model search")
-        if len(self.sets) == self.m and self._feasible(0):
-            return Model(tuple(frozenset(set_of(s)) for s in self.sets), self.m)
+        sets, nbrs = self.sets, self.nbrs
+        if len(sets) == self.m and self._feasible(0):
+            return Model(tuple(frozenset(set_of(s)) for s in sets), self.m)
         if i == len(self.order) or not self._feasible(self.suffixes[i]):
             return None
         v = self.order[i]
         vm = 1 << v
-        if self.can_open and len(self.sets) < self.m:
-            self.sets.append(vm)
+        nv = self.g.adj[v]
+        if self.can_open and len(sets) < self.m:
+            sets.append(vm)
+            nbrs.append(nv)
             found = self._rec(i + 1)
-            self.sets.pop()
+            sets.pop()
+            nbrs.pop()
             if found is not None:
                 return found
-        for j in range(len(self.sets)):
-            self.sets[j] |= vm
+        for j in range(len(sets)):
+            old = nbrs[j]
+            sets[j] |= vm
+            nbrs[j] = old | nv
             found = self._rec(i + 1)
-            self.sets[j] &= ~vm
+            sets[j] &= ~vm
+            nbrs[j] = old
             if found is not None:
                 return found
         return self._rec(i + 1)  # skip v
 
-    def _joined(self, a, b):
-        for v in bits(a):
-            if self.g.adj[v] & b:
-                return True
-        return False
-
     def _feasible(self, remaining):
-        g = self.g
-        opened = len(self.sets)
-        if self.can_open and opened < self.m:
-            if remaining.bit_count() < self.m - opened:
+        sets, nbrs, m = self.sets, self.nbrs, self.m
+        opened = len(sets)
+        if self.can_open and opened < m:
+            if remaining.bit_count() < m - opened:
                 return False
-        for s in self.sets:
-            if g.reachable_mask(s & -s, s | remaining) & s != s:
+        unjoined = [
+            (i, j)
+            for i, j in itertools.combinations(range(opened), 2)
+            if not nbrs[i] & sets[j]
+        ]
+        if unjoined:
+            if not remaining:
                 return False
-        for a, b in itertools.combinations(self.sets, 2):
-            if self._joined(a, b):
-                continue
-            if not remaining or not g.reachable_mask(a, a | b | remaining) & b:
+            if opened == m and self._cover_exceeds(remaining, unjoined):
+                return False
+        reach = self.g.reachable_mask
+        for s in sets:
+            if s & (s - 1) and reach(s & -s, s | remaining) & s != s:
+                return False
+        for i, j in unjoined:
+            a, b = sets[i], sets[j]
+            if not reach(a, a | b | remaining) & b:
                 return False
         return True
+
+    def _cover_exceeds(self, remaining, unjoined):
+        """True when the unjoined pairs need more remaining vertices
+        than there are: the cover bound of the class docstring.  Each
+        vertex needed is that of a distinct set, so m or more remaining
+        vertices always suffice."""
+        left = remaining.bit_count()
+        if left >= self.m:
+            return False
+        partners = [0] * self.m
+        for i, j in unjoined:
+            partners[i] += 1
+            partners[j] += 1
+        need = 0
+        taken = 0  # sets already counted as growing
+        for i, count in enumerate(partners):
+            if count > (self.nbrs[i] & remaining).bit_count():
+                need += 1
+                taken |= 1 << i
+        for i, j in unjoined:
+            if not (taken >> i) & 1 and not (taken >> j) & 1:
+                need += 1
+                taken |= (1 << i) | (1 << j)
+        return need > left
 
 
 def refutes_clique_minor(g, m):

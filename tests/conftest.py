@@ -442,6 +442,116 @@ def check_join_lemma(g, td, s, t, budget=DEFAULT_BUDGET):
     return model is not None
 
 
+class UnprunedModelSearch:
+    """The clique-model search without the cover bound, written with a
+    completeness test of its own beside ``_feasible``: the reference for
+    ``obstructions._ModelSearch``.  Both visit their nodes in the same
+    order, and the cover bound cuts only subtrees that hold no model,
+    so both return the same model and the pruned search spends no more
+    of its budget."""
+
+    def __init__(self, g, m, budget, seeds=None):
+        self.g = g
+        self.m = m
+        self.budget = Budget.of(budget)
+        if seeds is None:
+            self.sets = []
+            excluded = 0
+        else:
+            self.sets = [1 << v for v in sorted(seeds)]
+            excluded = mask_of(seeds)
+        self.order = sorted(
+            (v for v in g.vertices if not (excluded >> v) & 1),
+            key=lambda v: (-g.degree(v), v),
+        )
+        self.can_open = seeds is None
+
+    def run(self):
+        if self.m == 0:
+            return Model((), 0)
+        suffix = 0
+        suffixes = [0] * (len(self.order) + 1)
+        for i in range(len(self.order) - 1, -1, -1):
+            suffix |= 1 << self.order[i]
+            suffixes[i] = suffix
+        self.suffixes = suffixes
+        return self._rec(0)
+
+    def _rec(self, i):
+        self.budget.charge("model search")
+        done = self._complete()
+        if done is not None:
+            return done
+        remaining = self.suffixes[i] if i < len(self.order) else 0
+        if not self._feasible(remaining):
+            return None
+        if i >= len(self.order):
+            return None
+        vm = 1 << self.order[i]
+        if self.can_open and len(self.sets) < self.m:
+            self.sets.append(vm)
+            found = self._rec(i + 1)
+            self.sets.pop()
+            if found is not None:
+                return found
+        for j in range(len(self.sets)):
+            self.sets[j] |= vm
+            found = self._rec(i + 1)
+            self.sets[j] &= ~vm
+            if found is not None:
+                return found
+        return self._rec(i + 1)
+
+    def _complete(self):
+        g = self.g
+        if len(self.sets) < self.m:
+            return None
+        for s in self.sets:
+            if s == 0 or g.reachable_mask(s & -s, s) != s:
+                return None
+        for a, b in itertools.combinations(self.sets, 2):
+            if not self._joined(a, b):
+                return None
+        return Model(tuple(frozenset(set_of(s)) for s in self.sets), self.m)
+
+    def _joined(self, a, b):
+        return any(self.g.adj[v] & b for v in bits(a))
+
+    def _feasible(self, remaining):
+        g = self.g
+        opened = len(self.sets)
+        if self.can_open and opened < self.m:
+            if remaining.bit_count() < self.m - opened:
+                return False
+        for s in self.sets:
+            if s == 0:
+                return False
+            if g.reachable_mask(s & -s, s | remaining) & s != s:
+                return False
+        for a, b in itertools.combinations(self.sets, 2):
+            if self._joined(a, b):
+                continue
+            if not (g.reachable_mask(a, a | b | remaining) & b):
+                return False
+        return True
+
+
+
+def unpruned_homes(g, m, td, budget=DEFAULT_BUDGET):
+    """The nodes t of td some m-subset of whose bag, tried in
+    lexicographic order, seeds an ``UnprunedModelSearch`` model: the
+    home test of ``pipeline._model_home_nodes`` without its refutation
+    and without the cover bound."""
+    return {
+        t
+        for t in sorted(td.nodes)
+        if any(
+            UnprunedModelSearch(g, m, budget, seeds=z).run() is not None
+            for z in itertools.combinations(sorted(td.bags[t]), m)
+        )
+    }
+
+
 class _MeetingModelSearch:
     """The clique-model search with every branch set required to meet
     the vertex set ``meet``: the search that decided model homes before
@@ -676,6 +786,18 @@ def octahedron_petersen(seed):
     cross = list(itertools.product(range(1, 7), range(7, 17)))
     joins = rng.sample(cross, rng.randint(1, 3))
     return Graph.from_edges(16, octahedron + petersen + joins)
+
+
+def random_cubic(n, rng):
+    """A random 3-regular graph on n vertices: a uniform pairing of
+    three points per vertex, redrawn until it has no loop or repeated
+    edge."""
+    while True:
+        points = [v for v in range(1, n + 1) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            return Graph.from_edges(n, edges)
 
 
 def small_corpus(seed, count, max_n, probs=(0.2, 0.4, 0.7), min_n=1):

@@ -7,6 +7,7 @@ from conftest import (
     BlockOrientation,
     ModelOrientation,
     SeparationDoesNotDecide,
+    UnprunedModelSearch,
     blocks_by_definition,
     check_rs_lemma,
     components,
@@ -19,6 +20,7 @@ from conftest import (
     overlay_clique,
     perfbench_corpora,
     planar_3_tree,
+    random_cubic,
     small_corpus,
     surplus_refutes,
 )
@@ -31,7 +33,6 @@ from topstruct.errors import (
 )
 from topstruct.graph import (
     Graph,
-    bits,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -40,11 +41,11 @@ from topstruct.graph import (
     path_graph,
     petersen_graph,
     random_graph,
-    set_of,
 )
 from topstruct.obstructions import (
     Block,
     Model,
+    _ModelSearch,
     extract_subdivision,
     find_clique_model,
     find_k_blocks,
@@ -169,96 +170,66 @@ def test_model_budget():
         find_clique_model(complete_graph(9), 5, budget=3)
 
 
-class _SearchWithCompletenessTest:
-    """The clique-model search as it was written with a completeness
-    test of its own beside ``_feasible``, kept as the reference for the
-    search that asks ``_feasible(0)`` instead.  Both must visit the same
-    nodes in the same order."""
+def _search_state(g, m, sets, seeds=None):
+    """A search on g whose open sets are ``sets``, with their
+    neighbourhood masks."""
+    search = _ModelSearch(g, m, Budget(0), seeds=seeds)
+    search.sets = [mask_of(s) for s in sets]
+    search.nbrs = []
+    for s in sets:
+        nbrs = 0
+        for v in s:
+            nbrs |= g.adj[v]
+        search.nbrs.append(nbrs)
+    return search
 
-    def __init__(self, g, m, budget, seeds=None):
-        self.g = g
-        self.m = m
-        self.budget = budget
-        if seeds is None:
-            self.sets = []
-            excluded = 0
-        else:
-            self.sets = [1 << v for v in sorted(seeds)]
-            excluded = mask_of(seeds)
-        self.order = sorted(
-            (v for v in g.vertices if not (excluded >> v) & 1),
-            key=lambda v: (-g.degree(v), v),
-        )
-        self.can_open = seeds is None
 
-    def run(self):
-        if self.m == 0:
-            return Model((), 0)
-        suffix = 0
-        suffixes = [0] * (len(self.order) + 1)
-        for i in range(len(self.order) - 1, -1, -1):
-            suffix |= 1 << self.order[i]
-            suffixes[i] = suffix
-        self.suffixes = suffixes
-        return self._rec(0)
+def test_feasibility_accepts_every_complete_model_state():
+    """A complete model is ``_feasible(0)``, free and seeded, and stays
+    feasible with vertices left: it has no unjoined pair, so the cover
+    bound asks for no remaining vertex."""
+    c6 = cycle_graph(6)
+    model = [{1, 2}, {3, 4}, {5, 6}]
+    assert _search_state(c6, 3, model)._feasible(0)
+    assert _search_state(c6, 3, model, seeds=[1, 3, 5])._feasible(0)
+    # K4 with a pendant vertex 5 left over, and a K_3 model of the wheel
+    # (a 4-cycle 1-3-2-4 and hub 5) with the hub left over
+    k4_pendant = Graph.from_edges(5, complete_graph(4).edges | {(1, 5)})
+    singletons = [{1}, {2}, {3}, {4}]
+    assert _search_state(k4_pendant, 4, singletons, [1, 2, 3, 4])._feasible(0)
+    assert _search_state(k4_pendant, 4, singletons)._feasible(1 << 5)
+    wheel = Graph.from_edges(
+        5, [(1, 3), (3, 2), (2, 4), (4, 1)] + [(v, 5) for v in range(1, 5)]
+    )
+    assert _search_state(wheel, 3, [{1, 3}, {2}, {4}])._feasible(1 << 5)
+    # unjoined sets with nothing left are no model
+    assert not _search_state(wheel, 4, singletons, [1, 2, 3, 4])._feasible(0)
 
-    def _rec(self, i):
-        self.budget.charge("model search")
-        done = self._complete()
-        if done is not None:
-            return done
-        remaining = self.suffixes[i] if i < len(self.order) else 0
-        if not self._feasible(remaining):
-            return None
-        if i >= len(self.order):
-            return None
-        vm = 1 << self.order[i]
-        if self.can_open and len(self.sets) < self.m:
-            self.sets.append(vm)
-            found = self._rec(i + 1)
-            self.sets.pop()
-            if found is not None:
-                return found
-        for j in range(len(self.sets)):
-            self.sets[j] |= vm
-            found = self._rec(i + 1)
-            self.sets[j] &= ~vm
-            if found is not None:
-                return found
-        return self._rec(i + 1)
 
-    def _complete(self):
-        g = self.g
-        if len(self.sets) < self.m:
-            return None
-        for s in self.sets:
-            if s == 0 or g.reachable_mask(s & -s, s) != s:
-                return None
-        for a, b in itertools.combinations(self.sets, 2):
-            if not self._joined(a, b):
-                return None
-        return Model(tuple(frozenset(set_of(s)) for s in self.sets), self.m)
-
-    def _joined(self, a, b):
-        return any(self.g.adj[v] & b for v in bits(a))
-
-    def _feasible(self, remaining):
-        g = self.g
-        opened = len(self.sets)
-        if self.can_open and opened < self.m:
-            if remaining.bit_count() < self.m - opened:
-                return False
-        for s in self.sets:
-            if s == 0:
-                return False
-            if g.reachable_mask(s & -s, s | remaining) & s != s:
-                return False
-        for a, b in itertools.combinations(self.sets, 2):
-            if self._joined(a, b):
-                continue
-            if not (g.reachable_mask(a, a | b | remaining) & b):
-                return False
-        return True
+def test_cover_bound_cuts_only_states_without_a_model():
+    """The bound refuses states whose sets all reach one another
+    through the remaining vertices, but that need more of them than
+    there are, and keeps a state that needs exactly as many."""
+    # a star's three leaves all reach one another through the centre,
+    # but each is forced to take it
+    star = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
+    leaves = _search_state(star, 3, [{2}, {3}, {4}], [2, 3, 4])
+    assert not leaves._feasible(1 << 1)
+    assert find_z_based_model(star, [2, 3, 4]) is None
+    # the wheel's rim seeds two unjoined pairs, no set forced: a
+    # matching of two pairs needs two vertices, and only the hub is left
+    wheel = Graph.from_edges(
+        5, [(1, 3), (3, 2), (2, 4), (4, 1)] + [(v, 5) for v in range(1, 5)]
+    )
+    rim = [{1}, {2}, {3}, {4}]
+    assert not _search_state(wheel, 4, rim, [1, 2, 3, 4])._feasible(1 << 5)
+    assert find_z_based_model(wheel, [1, 2, 3, 4]) is None
+    # on the path 1-3-2 each seed has one unjoined partner and one
+    # remaining neighbour, so neither is forced, and {1, 3}, {2} is a
+    # model
+    path = Graph.from_edges(3, [(1, 3), (3, 2)])
+    assert _search_state(path, 2, [{1}, {2}], [1, 2])._feasible(1 << 3)
+    assert find_z_based_model(path, [1, 2]) is not None
 
 
 def _search_outcome(search, limit):
@@ -271,15 +242,17 @@ def _search_outcome(search, limit):
 
 
 def test_model_search_matches_the_completeness_test_reference():
-    """Completeness as ``_feasible(0)`` leaves the search tree as it
-    was: the same model (or None) and the same budget spent, free and
-    seeded, on seeded graphs with n 1-11 and m 0-7; searches that run
-    out of budget must run out at the same node.  The floors are those
-    of a reading of 356 models, 230 searches that find none and 14
-    spent budgets."""
+    """The cover bound cuts only subtrees without a model.  On seeded
+    graphs with n 1-11 and m 0-7, free and seeded, the search finds the
+    model (or None) of ``UnprunedModelSearch`` wherever that reference
+    finishes, and never spends more budget than it.  The floors are
+    those of a reading of the reference's 356 models, 230 searches that
+    find none and 14 spent budgets, and of 5 searches the bound cut
+    short."""
     rng = random.Random(2500)
     limit = 2000
     outcomes = {"model": 0, None: 0, "budget": 0}
+    cut_short = 0
     for _ in range(300):
         n = rng.randint(1, 11)
         g = random_graph(n, rng.choice([0.3, 0.5, 0.8]), rng)
@@ -290,24 +263,25 @@ def test_model_search_matches_the_completeness_test_reference():
         pairs = [
             (
                 lambda b: find_clique_model(g, m, b),
-                lambda b: _SearchWithCompletenessTest(g, m, b).run(),
+                lambda b: UnprunedModelSearch(g, m, b).run(),
             ),
             (
                 lambda b: find_z_based_model(g, z, b),
-                lambda b: _SearchWithCompletenessTest(
-                    g, len(z), b, seeds=sorted(z)
-                ).run(),
+                lambda b: UnprunedModelSearch(g, len(z), b, seeds=z).run(),
             ),
         ]
         for search, reference in pairs:
-            got = _search_outcome(search, limit)
-            assert got == _search_outcome(reference, limit), (
-                sorted(g.edges), n, m, z,
-            )
-            result = got[0]
-            outcomes["model" if isinstance(result, Model) else result] += 1
+            got, spent = _search_outcome(search, limit)
+            want, ref_spent = _search_outcome(reference, limit)
+            case = (sorted(g.edges), n, m, z)
+            assert spent <= ref_spent, case
+            if want != "budget":
+                assert got == want, case
+            cut_short += spent < ref_spent
+            outcomes["model" if isinstance(want, Model) else want] += 1
     assert outcomes["model"] > 300 and outcomes[None] > 190, outcomes
     assert outcomes["budget"] > 10, outcomes
+    assert cut_short >= 5, cut_short
 
 
 def test_refutation_agrees_with_minor_oracle():
@@ -345,18 +319,6 @@ def test_refutation_agrees_with_minor_oracle():
         assert refutes_clique_minor(Graph(m, km.edges - {(1, 2)}), m)
 
 
-def _random_cubic(n, rng):
-    """A random 3-regular graph on n vertices: a uniform pairing of
-    three points per vertex, redrawn until it has no loop or repeated
-    edge."""
-    while True:
-        points = [v for v in range(1, n + 1) for _ in range(3)]
-        rng.shuffle(points)
-        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
-        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
-            return Graph.from_edges(n, edges)
-
-
 def test_refutation_by_width_and_by_surplus():
     # treewidth 3 and 4, but too many edges for the surplus rule
     rng = random.Random(3)
@@ -369,7 +331,7 @@ def test_refutation_by_width_and_by_surplus():
     assert not surplus_refutes(grid_graph(4, 5), 6)
     # 16 vertices and 24 edges leave no room for K_6, but the greedy
     # elimination of this cubic graph reaches degree 5
-    cubic = _random_cubic(16, random.Random(8))
+    cubic = random_cubic(16, random.Random(8))
     assert surplus_refutes(cubic, 6) and min_degree_width(cubic) >= 5
     assert refutes_clique_minor(cubic, 6)
 

@@ -15,8 +15,10 @@ from conftest import (
     orientations_agree,
     perfbench_corpora,
     planar_3_tree,
+    random_cubic,
     small_corpus,
     surplus_refutes,
+    unpruned_homes,
 )
 
 from topstruct import obstructions, pipeline
@@ -459,6 +461,58 @@ def test_run_structure_lemma_properties():
     assert runs > 5
 
 
+def _check_red_half_run(g, params, res, budget):
+    """The checks of the red-half family test on one run at (4, 5).
+
+    Returns whether the run was verified, and the numbers of F edges,
+    join lemmas and red nodes checked.  ``budget`` bounds the
+    verifier's run and each of this test's own K_5 checks; a check that
+    runs out of it leaves the run unverified, and fails nothing.
+    """
+    k, m = params.k, params.m
+    if res.variant == "subdivision":
+        assert verify_subdivision(g, params.r, res.subdivision)
+        return True, 0, 0, 0
+    rep = verify_theorem(g, params, res, budget=budget)
+    assert not rep.failures, rep.failures
+    verified = not rep.unverified
+    lean, lc = res.lean, res.lean_coloring
+    block_homes = [
+        t for t in lean.nodes if any(b.vertices <= lean.bags[t] for b in res.blocks)
+    ]
+    bichromatic = 0
+    for a, b in sorted(lc.f_edges):
+        assert any(
+            {a, b} in map(set, lean.path_edges(tb, tx))
+            and lean.edge_order(a, b) == lean.min_order_on_path(tb, tx)
+            for tb in block_homes
+            for tx in res.model_nodes
+        )
+        if lc.color[a] == lc.color[b]:
+            continue
+        s, t = (a, b) if lc.color[a] == "blue" else (b, a)
+        assert check_join_lemma(g, lean, s, t)
+        bichromatic += 1
+    td, color = res.decomposition, res.coloring.color
+    assert res.coloring.f_edges == {
+        e for e in td.tree_edges if color[e[0]] != color[e[1]]
+    }
+    assert len(res.coloring.f_edges) == bichromatic
+    red_checked = 0
+    for t in sorted(td.nodes):
+        torso, _ = td.torso_at_node(g, t)
+        if color[t] == "blue":
+            try:
+                assert not minor_oracle(torso, m, budget)
+            except BudgetExceeded:
+                verified = False
+        else:
+            high = sum(torso.degree(v) >= 2 * k * k for v in torso.vertices)
+            assert high < k
+            red_checked += 1
+    return verified, len(lc.f_edges), bichromatic, red_checked
+
+
 def test_octahedron_petersen_family_reaches_the_red_half():
     """At (4, 5) each of the 30 seeded ``octahedron_petersen`` graphs
     ends, within 2,000,000 units, in a verified subdivision or a
@@ -474,53 +528,46 @@ def test_octahedron_petersen_family_reaches_the_red_half():
 
     The floors are those of a reading of 10 subdivisions, 20
     decompositions, 21 F edges (20 of them between the colours) and
-    117 red nodes."""
+    117 red nodes.
+
+    Random cubic graphs on 12 and 16 vertices, 20 seeds each, hold no
+    4-block, so they end in decompositions without F edges: red-only
+    where a K_5 model has a home, one blue bag where there is none.
+    The verifier's oracle takes 18-28 s to refute K_5 on a 16-vertex
+    cubic torso, so their K_5 checks run within 2,000 units each; a
+    check that runs out leaves its run unverified (ROADMAP item 2).
+    The floors are those of a reading of 20 and 18 verified runs and
+    68 and 171 red nodes; the two runs left unverified are the
+    16-vertex graphs with a blue bag.
+    """
     params = Parameters.generalized_km(4, 5)
-    k, m = params.k, params.m
     ends = {"subdivision": 0, "decomposition": 0}
     f_checked = joins_checked = red_checked = 0
     for seed in range(30):
         g = octahedron_petersen(seed)
         res = run_structure(g, params, budget=2_000_000)
         ends[res.variant] += 1
-        if res.variant == "subdivision":
-            assert verify_subdivision(g, params.r, res.subdivision)
-            continue
-        assert verify_theorem(g, params, res).passed
-        lean, lc = res.lean, res.lean_coloring
-        block_homes = [
-            t for t in lean.nodes if any(b.vertices <= lean.bags[t] for b in res.blocks)
-        ]
-        bichromatic = 0
-        for a, b in sorted(lc.f_edges):
-            assert any(
-                {a, b} in map(set, lean.path_edges(tb, tx))
-                and lean.edge_order(a, b) == lean.min_order_on_path(tb, tx)
-                for tb in block_homes
-                for tx in res.model_nodes
-            ), seed
-            if lc.color[a] == lc.color[b]:
-                continue
-            s, t = (a, b) if lc.color[a] == "blue" else (b, a)
-            assert check_join_lemma(g, lean, s, t), seed
-            bichromatic += 1
-        td, color = res.decomposition, res.coloring.color
-        assert res.coloring.f_edges == {
-            e for e in td.tree_edges if color[e[0]] != color[e[1]]
-        }, seed
-        assert len(res.coloring.f_edges) == bichromatic, seed
-        f_checked += len(lc.f_edges)
-        joins_checked += bichromatic
-        for t in sorted(td.nodes):
-            torso, _ = td.torso_at_node(g, t)
-            if color[t] == "blue":
-                assert not minor_oracle(torso, m), seed
-            else:
-                high = sum(torso.degree(v) >= 2 * k * k for v in torso.vertices)
-                assert high < k, seed
-                red_checked += 1
+        verified, f, joins, red = _check_red_half_run(
+            g, params, res, DEFAULT_BUDGET
+        )
+        assert verified, seed
+        f_checked += f
+        joins_checked += joins
+        red_checked += red
     assert ends["subdivision"] >= 10 and ends["decomposition"] >= 20
     assert f_checked >= 21 and joins_checked >= 20 and red_checked >= 117
+    cubic = {12: [0, 0], 16: [0, 0]}  # n -> [verified runs, red nodes]
+    for n, counts in cubic.items():
+        for seed in range(20):
+            g = random_cubic(n, random.Random(seed))
+            res = run_structure(g, params, budget=2_000_000)
+            assert res.variant == "decomposition", (n, seed)
+            verified, f, _, red = _check_red_half_run(g, params, res, 2_000)
+            assert f == 0, (n, seed)
+            counts[0] += verified
+            counts[1] += red
+    assert cubic[12][0] >= 20 and cubic[12][1] >= 68
+    assert cubic[16][0] >= 18 and cubic[16][1] >= 171
 
 
 def test_model_homes_match_unpruned_search():
@@ -528,7 +575,11 @@ def test_model_homes_match_unpruned_search():
 
     Besides each lean result, every multi-bag decomposition the lean
     builder passes through is compared.  The planar 3-trees at (2, 7)
-    are refuted by the width bound where the surplus rule cannot.
+    are refuted by the width bound where the surplus rule cannot.  The
+    lean decompositions of the 30 ``octahedron_petersen`` seeds at
+    (4, 5), multi-bag with red homes, are compared with the bag-subset
+    loop over the search without the cover bound; the floor is that of
+    a reading of 40 homes.
     """
     rng = random.Random(11)
     corpus = small_corpus(29, 40, 10)
@@ -554,6 +605,16 @@ def test_model_homes_match_unpruned_search():
                 homes_seen += bool(want)
                 empty_seen += not want
     assert homes_seen > 5 and empty_seen > 5 and width_only > 0
+    family_homes = 0
+    for seed in range(30):
+        g = octahedron_petersen(seed)
+        td = build_k_lean(g, 4)
+        want = unpruned_homes(g, 5, td)
+        assert len(td.nodes) > 1 and want, seed
+        got = pipeline._model_home_nodes(g, 5, td, budget=DEFAULT_BUDGET)
+        assert got == want, seed
+        family_homes += len(want)
+    assert family_homes >= 40
 
 
 def test_model_homes_skip_search_below_edge_count(monkeypatch):
