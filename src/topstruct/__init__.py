@@ -41,7 +41,12 @@ from .separations import (
     is_tight,
     min_vertex_cut,
 )
-from .verifier import minor_oracle, verify_subdivision, verify_theorem
+from .verifier import (
+    minor_oracle,
+    verify_decomposition,
+    verify_subdivision,
+    verify_theorem,
+)
 
 __version__ = "0.1.0"
 
@@ -77,6 +82,7 @@ __all__ = [
     "renumbered",
     "run_structure",
     "select_f",
+    "verify_decomposition",
     "verify_subdivision",
     "verify_theorem",
     "write_gr",

@@ -1,22 +1,16 @@
-"""Tree-decompositions: induced separations, torsos, contraction,
-fatness, leanness checking, and the .td text format.
+"""Tree-decompositions: induced separations, contraction, fatness,
+leanness checking, and the .td text format.
 
 Instances are immutable after construction; contraction returns a new
 value.  Every walk of the tree is one ``TreeDecomposition.reach``.
 """
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import (
-    DEFAULT_BUDGET,
-    FormatError,
-    NotAnEdge,
-    NotASubtree,
-)
-from .graph import Graph, mask_of
+from .errors import DEFAULT_BUDGET, FormatError, NotAnEdge
+from .graph import mask_of
 from .separations import Separation, enumerate_separations
 
 
@@ -102,13 +96,6 @@ class TreeDecomposition:
                 queue.append(y)
         return parent
 
-    def is_tree(self):
-        return (
-            bool(self.nodes)
-            and len(self.tree_edges) == len(self.nodes) - 1
-            and len(self.reach(min(self.nodes))) == len(self.nodes)
-        )
-
     def side_nodes(self, s, t):
         """Nodes on s's side of the tree edge st (s included, t excluded)."""
         self._require_edge(s, t)
@@ -154,48 +141,6 @@ class TreeDecomposition:
         if not edges:
             return None
         return min(self.edge_order(a, b) for a, b in edges)
-
-    # -- validation ----------------------------------------------------
-
-    def validate(self, g):
-        """Both tree-decomposition axioms plus tree-ness."""
-        if not self.is_tree():
-            return False
-        covered = frozenset().union(*self.bags.values())
-        if covered != set(g.vertices):
-            return False
-        for v in g.vertices:
-            holders = {node for node, bag in self.bags.items() if v in bag}
-            if len(self.reach(min(holders), within=holders)) != len(holders):
-                return False
-        for u, v in g.edges:
-            if not any(u in bag and v in bag for bag in self.bags.values()):
-                return False
-        return True
-
-    # -- torsos --------------------------------------------------------
-
-    def torso_at_subtree(self, g, node_set):
-        """Torso of the given connected subtree, relabelled to 1..N.
-
-        Returns (graph, labels): labels[i] is the G-vertex of torso
-        vertex i+1.
-        """
-        node_set = set(node_set)
-        if not node_set or not node_set <= self.nodes:
-            raise NotASubtree("nodes not in decomposition")
-        if len(self.reach(min(node_set), within=node_set)) != len(node_set):
-            raise NotASubtree("node set is not connected in the tree")
-        verts = frozenset().union(*(self.bags[x] for x in node_set))
-        extra = set()
-        for s, t in self.tree_edges:
-            if (s in node_set) != (t in node_set):
-                adhesion_set = sorted(self.bags[s] & self.bags[t])
-                extra.update(itertools.combinations(adhesion_set, 2))
-        return Graph(g.n, g.edges | extra).induced(verts)
-
-    def torso_at_node(self, g, node):
-        return self.torso_at_subtree(g, {node})
 
     # -- contraction ---------------------------------------------------
 

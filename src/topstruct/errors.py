@@ -60,10 +60,6 @@ class NotAnEdge(TopstructError):
     """The given pair is not an edge of the decomposition tree."""
 
 
-class NotASubtree(TopstructError):
-    """The given node set does not induce a connected subtree."""
-
-
 class NotAViolation(TopstructError):
     """The improvement step was handed something that is not a genuine
     leanness violation for the given decomposition."""

@@ -91,17 +91,14 @@ class Graph:
     # -- derived graphs ------------------------------------------------
 
     def induced(self, vertices):
-        """Induced subgraph relabelled to 1..|vertices|.
-
-        Returns (graph, labels) where labels[i] is the original label of
-        new vertex i+1.
-        """
+        """Induced subgraph, relabelled to 1..|vertices| in increasing
+        vertex order: new vertex i+1 is ``sorted(vertices)[i]``."""
         labels = sorted(vertices)
         index = {old: i + 1 for i, old in enumerate(labels)}
         edges = [
             (index[u], index[v]) for u, v in self.edges if u in index and v in index
         ]
-        return Graph.from_edges(len(labels), edges), labels
+        return Graph.from_edges(len(labels), edges)
 
     def contract_edge(self, u, v):
         """Contract edge uv, merging v into u; relabels to stay dense."""

@@ -6,9 +6,9 @@ they check: cuts by subset enumeration, blocks straight from the
 definition, models by validation of explicit candidates.  The reference
 checks of the theory (the exact minimum-fatness builder, the
 orientations of blocks and models and the home node of an orientation,
-the join and RS lemma checks, the meet search that model homes are
-compared with) are test code as well: no module of the package imports
-this file.
+the torso of a subtree, the join and RS lemma checks, the meet search
+that model homes are compared with) are test code as well: no module of
+the package imports this file.
 """
 
 import importlib.util
@@ -430,14 +430,27 @@ def distinguishing_order(g, o1, o2, budget=DEFAULT_BUDGET):
     return best
 
 
+def torso_at_subtree(g, td, node_set):
+    """Torso of a connected set of tree nodes: G on the union of their
+    bags, plus a clique on V_s ∩ V_t for each tree edge st with one end
+    in the set, relabelled to 1..N in increasing vertex order."""
+    verts = frozenset().union(*(td.bags[x] for x in node_set))
+    extra = set()
+    for s, t in td.tree_edges:
+        if (s in node_set) != (t in node_set):
+            adhesion_set = sorted(td.bags[s] & td.bags[t])
+            extra.update(itertools.combinations(adhesion_set, 2))
+    return Graph(g.n, g.edges | extra).induced(verts)
+
+
 def check_join_lemma(g, td, s, t, budget=DEFAULT_BUDGET):
     """True iff the far side of the edge s→t has a model based on the
     adhesion set: G[W_t] must contain a (V_s ∩ V_t)-based clique model."""
     sep = td.induced_separation(s, t)
     w_t = sep.side_b  # the t-side
     z = td.bags[s] & td.bags[t]
-    sub, labels = g.induced(sorted(w_t))
-    back = {old: i + 1 for i, old in enumerate(labels)}
+    sub = g.induced(w_t)
+    back = {old: i + 1 for i, old in enumerate(sorted(w_t))}
     model = find_z_based_model(sub, [back[v] for v in sorted(z)], budget=budget)
     return model is not None
 

@@ -18,8 +18,10 @@ from conftest import (
     find_meeting_model,
     home_node,
     is_separation,
+    octahedron_petersen,
     record_acceptance,
     small_corpus,
+    torso_at_subtree,
 )
 
 from topstruct.cli import main
@@ -38,7 +40,12 @@ from topstruct.obstructions import (
     find_k_blocks,
 )
 from topstruct.pipeline import Parameters, run_structure
-from topstruct.verifier import minor_oracle, verify_subdivision, verify_theorem
+from topstruct.verifier import (
+    minor_oracle,
+    verify_decomposition,
+    verify_subdivision,
+    verify_theorem,
+)
 
 CORPUS = small_corpus(101, 500, 12, probs=(0.2, 0.4, 0.7))
 
@@ -54,7 +61,7 @@ def test_criterion_1_axiom_suite():
     for i, g in enumerate(CORPUS):
         k = 2 + i % 3
         td = build_k_lean(g, k)
-        if not td.validate(g):
+        if not verify_decomposition(g, td):
             failures.append((i, "validate"))
             continue
         for s, t in sorted(td.tree_edges):
@@ -153,45 +160,61 @@ def test_criterion_5_efficient_distinction():
 
 
 def test_criterion_6_coloring_properties():
+    # the corpus at (3, 6) yields no F edge; the octahedron + Petersen
+    # seeds at (4, 5) reach both colours, so the join lemma is checked
     failures = []
-    runs = 0
-    p = Parameters.generalized_km(3, 6)
-    for i, g in enumerate(small_corpus(106, 80, 11)):
-        res = run_structure(g, p)
-        if res.variant != "decomposition":
-            continue
-        runs += 1
-        td, lc = res.lean, res.lean_coloring
-        if set(lc.color) != set(td.nodes) or not set(lc.color.values()) <= {
-            "red",
-            "blue",
-        }:
-            failures.append((i, "coloring not total"))
-            continue
-        for a, b in sorted(lc.f_edges):
-            for s, t in ((a, b), (b, a)):
-                if lc.color[s] == "blue" and lc.color[t] == "red":
-                    if not check_join_lemma(g, td, s, t):
-                        failures.append((i, (s, t), "join lemma"))
-        blue = {t for t, c in lc.color.items() if c == "blue"}
-        seen = set()
-        for start in sorted(blue):
-            if start in seen:
+    runs = f_checked = joins_checked = blue_checked = 0
+    inputs = [
+        (Parameters.generalized_km(3, 6), small_corpus(106, 80, 11)),
+        (
+            Parameters.generalized_km(4, 5),
+            [octahedron_petersen(seed) for seed in range(30)],
+        ),
+    ]
+    for p, graphs in inputs:
+        for i, g in enumerate(graphs):
+            res = run_structure(g, p)
+            if res.variant != "decomposition":
                 continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in td.neighbors(u):
-                    if v in blue and v not in comp:
-                        comp.add(v)
-                        stack.append(v)
-            seen |= comp
-            torso, _ = td.torso_at_subtree(g, comp)
-            if minor_oracle(torso, p.m):
-                failures.append((i, sorted(comp), "blue torso has minor"))
+            runs += 1
+            td, lc = res.lean, res.lean_coloring
+            colors = set(lc.color.values())
+            if set(lc.color) != set(td.nodes) or not colors <= {"red", "blue"}:
+                failures.append((p.m, i, "coloring not total"))
+                continue
+            f_checked += len(lc.f_edges)
+            for a, b in sorted(lc.f_edges):
+                for s, t in ((a, b), (b, a)):
+                    if lc.color[s] == "blue" and lc.color[t] == "red":
+                        joins_checked += 1
+                        if not check_join_lemma(g, td, s, t):
+                            failures.append((p.m, i, (s, t), "join lemma"))
+            blue = {t for t, c in lc.color.items() if c == "blue"}
+            seen = set()
+            for start in sorted(blue):
+                if start in seen:
+                    continue
+                comp = {start}
+                stack = [start]
+                while stack:
+                    u = stack.pop()
+                    for v in td.neighbors(u):
+                        if v in blue and v not in comp:
+                            comp.add(v)
+                            stack.append(v)
+                seen |= comp
+                blue_checked += 1
+                torso = torso_at_subtree(g, td, comp)
+                if minor_oracle(torso, p.m):
+                    failures.append(
+                        (p.m, i, sorted(comp), "blue torso has minor")
+                    )
     if runs <= 5:
         failures.append("too few decomposition runs")
+    # floors from a reading: 21 F edges, 20 blue-to-red join checks and
+    # 94 blue components (20 of them at (4, 5))
+    if f_checked < 21 or joins_checked < 20 or blue_checked < 94:
+        failures.append(("too few checks", f_checked, joins_checked, blue_checked))
     _finish(6, "coloring total, join lemma, blue torsos minor-free", failures)
 
 
@@ -245,7 +268,7 @@ def test_criterion_8_contraction_invariance():
         for node in sorted(td.nodes):
             if node in e:
                 continue
-            if td.torso_at_node(g, node) != out.torso_at_node(g, node):
+            if torso_at_subtree(g, td, {node}) != torso_at_subtree(g, out, {node}):
                 failures.append((done, node, "torso changed"))
     _finish(8, "contraction leaves the rest alone", failures)
 
@@ -270,7 +293,7 @@ def test_criterion_9_cli(tmp_path):
             failures.append((i, "not deterministic"))
         if (tmp_path / "a.td").exists():
             td, n, colors = load_td(str(tmp_path / "a.td"))
-            if n != g.n or not td.validate(g):
+            if n != g.n or not verify_decomposition(g, td):
                 failures.append((i, "round trip invalid"))
             td2, n2, colors2 = parse_td(write_td(td, n, colors))
             if (renumbered(td), n, colors) != (renumbered(td2), n2, colors2):

@@ -18,6 +18,7 @@ from topstruct.graph import (
     write_gr,
 )
 from topstruct.obstructions import Model
+from topstruct.verifier import verify_decomposition
 
 
 def _write(tmp_path, name, g):
@@ -49,7 +50,7 @@ def test_parsed_td_matches_written(tmp_path):
     assert main(["decompose", "--k", "2", "--m", "4", gr]) == 0
     td, n, colors = load_td(str(tmp_path / "p6.td"))
     assert n == 6
-    assert td.validate(path_graph(6))
+    assert verify_decomposition(path_graph(6), td)
     assert colors is not None and set(colors.values()) <= {"red", "blue"}
     # structural round trip: re-serializing parses back identically
     from topstruct.decomposition import parse_td, write_td

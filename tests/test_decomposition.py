@@ -7,6 +7,7 @@ from conftest import (
     InconsistentOrientation,
     home_node,
     is_separation,
+    torso_at_subtree,
 )
 
 from topstruct.decomposition import (
@@ -15,11 +16,7 @@ from topstruct.decomposition import (
     renumbered,
     write_td,
 )
-from topstruct.errors import (
-    FormatError,
-    NotAnEdge,
-    NotASubtree,
-)
+from topstruct.errors import FormatError, NotAnEdge
 from topstruct.graph import (
     Graph,
     cycle_graph,
@@ -27,6 +24,7 @@ from topstruct.graph import (
     random_graph,
 )
 from topstruct.lean import build_k_lean
+from topstruct.verifier import _torso, verify_decomposition
 
 
 def path_td():
@@ -40,22 +38,22 @@ def path_td():
 def test_validate():
     g = path_graph(4)
     td = path_td()
-    assert td.validate(g)
+    assert verify_decomposition(g, td)
     # missing edge coverage
     bad = TreeDecomposition({(1, 2)}, {1: frozenset({1, 2}), 2: frozenset({4})})
-    assert not bad.validate(g)
+    assert not verify_decomposition(g, bad)
     # broken subtree connectivity
     bad2 = TreeDecomposition(
         {(1, 2), (2, 3)},
         {1: frozenset({1, 2}), 2: frozenset({3}), 3: frozenset({1, 3, 4})},
     )
-    assert not bad2.validate(g)
+    assert not verify_decomposition(g, bad2)
     # not a tree (cycle)
     bad3 = TreeDecomposition(
         {(1, 2), (2, 3), (1, 3)},
         {1: frozenset({1, 2}), 2: frozenset({2, 3}), 3: frozenset({3, 4})},
     )
-    assert not bad3.validate(g)
+    assert not verify_decomposition(g, bad3)
 
 
 def test_induced_separation_and_order():
@@ -80,22 +78,20 @@ def test_min_order_on_path():
 def test_torso():
     g = path_graph(4)
     td = path_td()
-    torso, labels = td.torso_at_node(g, 2)
-    assert labels == [2, 3]
-    assert torso.sorted_edges() == [(1, 2)]
-    # torso over a subtree overlays a clique on the boundary adhesion sets
+    assert _torso(g, td, 2).sorted_edges() == [(1, 2)]  # bag {2, 3}
+    # a torso overlays a clique on each adhesion set at its boundary
     c = cycle_graph(4)
     td2 = TreeDecomposition(
         {(1, 2)},
         {1: frozenset({1, 2, 4}), 2: frozenset({2, 3, 4})},
     )
-    assert td2.validate(c)
-    torso, labels = td2.torso_at_node(c, 1)
-    assert labels == [1, 2, 4]
-    # edge 2-4 appears via the adhesion clique
-    assert torso.has_edge(2, 3)
-    with pytest.raises(NotASubtree):
-        path_td().torso_at_subtree(g, {1, 3})
+    assert verify_decomposition(c, td2)
+    torso = _torso(c, td2, 1)
+    # bag {1, 2, 4} relabelled to 1, 2, 3: edge 2-4 appears via the
+    # adhesion clique
+    assert torso.n == 3 and torso.has_edge(2, 3)
+    # the subtree of both nodes has no boundary, and C4 lacks 2-4
+    assert not torso_at_subtree(c, td2, {1, 2}).has_edge(2, 4)
 
 
 def test_contract_tree_edge():
@@ -130,8 +126,8 @@ def test_contraction_leaves_rest_alone():
         for node in td.nodes:
             if node in e:
                 continue
-            t_old = td.torso_at_node(g, node)
-            t_new = out.torso_at_node(g, node)
+            t_old = torso_at_subtree(g, td, {node})
+            t_new = torso_at_subtree(g, out, {node})
             assert t_old == t_new
 
 

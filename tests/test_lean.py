@@ -36,6 +36,7 @@ from topstruct.lean import (
     lean_step_trace,
 )
 from topstruct.separations import Separation, enumerate_separations
+from topstruct.verifier import verify_decomposition
 
 
 def test_build_on_named_graphs():
@@ -47,7 +48,7 @@ def test_build_on_named_graphs():
         (petersen_graph(), 4),
     ]:
         td = build_k_lean(g, k)
-        assert td.validate(g)
+        assert verify_decomposition(g, td)
         assert td.check_k_lean(g, k) is None
         assert len(td.nodes) == 1 or td.adhesion() < k
 
@@ -100,7 +101,7 @@ def test_improvement_step_rejects_thin_sides_and_non_separations():
         with pytest.raises(NotAViolation):
             improvement_step(g, whole, viol)
     viol = LeannessViolation(1, 1, 2, Separation(left, right))
-    assert improvement_step(g, whole, viol).validate(g)
+    assert verify_decomposition(g, improvement_step(g, whole, viol))
 
 
 def test_improvement_step_applies_real_violation():
@@ -108,7 +109,7 @@ def test_improvement_step_applies_real_violation():
     td = TreeDecomposition.single_bag(range(1, 7))
     viol = td.check_k_lean(g, 2)
     out = improvement_step(g, td, viol)
-    assert out.validate(g)
+    assert verify_decomposition(g, out)
     assert out.fatness(6) < td.fatness(6)
 
 
@@ -133,7 +134,7 @@ def test_improvement_step_rejects_a_non_minimum_witness():
     )
     bags = {1: frozenset(left + right), 2: frozenset({4, 5, 6, 7, 8})}
     td = TreeDecomposition({(1, 2)}, bags)
-    assert td.validate(g) and td.adhesion() == 3
+    assert verify_decomposition(g, td) and td.adhesion() == 3
     for witness in (
         Separation({1, 2, 3, 4, 5, 6}, {5, 6, 7, 8, 9, 10}),
         Separation({5, 6, 7, 8, 9, 10}, {1, 2, 3, 4, 5, 6}),
@@ -146,7 +147,7 @@ def test_improvement_step_rejects_a_non_minimum_witness():
     assert (viol.s, viol.t, viol.p) == (1, 1, 2)
     assert viol.witness.separator == {4}
     out = improvement_step(g, td, viol)
-    assert out.validate(g)
+    assert verify_decomposition(g, out)
     assert out.fatness(g.n) < td.fatness(g.n)
 
 
@@ -366,7 +367,7 @@ def test_random_corpus_is_lean():
     for g in small_corpus(3, 60, 10):
         k = rng.randint(1, 4)
         td = build_k_lean(g, k)
-        assert td.validate(g)
+        assert verify_decomposition(g, td)
         assert td.check_k_lean(g, k) is None
 
 
@@ -379,7 +380,7 @@ def test_exact_builder_minimal_and_lean():
         g = random_graph(n, rng.choice([0.3, 0.5, 0.8]), rng)
         k = rng.randint(1, 3)
         exact = build_k_atomic_exact(g, k)
-        assert exact.validate(g)
+        assert verify_decomposition(g, exact)
         assert exact.check_k_lean(g, k) is None
         lean = build_k_lean(g, k)
         assert exact.fatness(n) <= lean.fatness(n)

@@ -18,6 +18,7 @@ from conftest import (
     random_cubic,
     small_corpus,
     surplus_refutes,
+    torso_at_subtree,
     unpruned_homes,
 )
 
@@ -56,7 +57,12 @@ from topstruct.pipeline import (
     select_f,
 )
 from topstruct.separations import enumerate_separations
-from topstruct.verifier import minor_oracle, verify_subdivision, verify_theorem
+from topstruct.verifier import (
+    minor_oracle,
+    verify_decomposition,
+    verify_subdivision,
+    verify_theorem,
+)
 
 
 def two_triangles_joined():
@@ -319,7 +325,7 @@ def test_check_join_lemma_simple():
         {(1, 2)},
         {1: frozenset({1, 2, 3}), 2: frozenset({3, 4, 5})},
     )
-    assert td.validate(g)
+    assert verify_decomposition(g, td)
     assert check_join_lemma(g, td, 1, 2)
     assert check_join_lemma(g, td, 2, 1)
 
@@ -456,7 +462,7 @@ def test_run_structure_lemma_properties():
                     assert check_join_lemma(g, res.lean, s, t)
         for t in sorted(res.decomposition.nodes):
             if res.coloring.color[t] == "blue":
-                torso, _ = res.decomposition.torso_at_node(g, t)
+                torso = torso_at_subtree(g, res.decomposition, {t})
                 assert not minor_oracle(torso, p.m)
     assert runs > 5
 
@@ -500,7 +506,7 @@ def _check_red_half_run(g, params, res, budget):
     assert len(res.coloring.f_edges) == bichromatic
     red_checked = 0
     for t in sorted(td.nodes):
-        torso, _ = td.torso_at_node(g, t)
+        torso = torso_at_subtree(g, td, {t})
         if color[t] == "blue":
             try:
                 assert not minor_oracle(torso, m, budget)

@@ -1,24 +1,24 @@
 """Every walk of a decomposition tree is ``TreeDecomposition.reach``.
 
-Each query built on it is checked against the brute-force references of
-``conftest`` on seeded random trees, forests and edge sets with a cycle:
-the references grow reached sets round by round over the edge list and
-enumerate simple paths, sharing no code with the walk.
+Each query built on it, and the verifier's own tree and subtree checks,
+are checked against the brute-force references of ``conftest`` on
+seeded random trees, forests and edge sets with a cycle: the references
+grow reached sets round by round over the edge list and enumerate simple
+paths, sharing no code with the walk or the verifier.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import brute_closure, brute_is_tree
 
 from topstruct.decomposition import TreeDecomposition
-from topstruct.errors import (
-    BichromaticComponent,
-    NotASubtree,
-)
+from topstruct.errors import BichromaticComponent
 from topstruct.graph import Graph
 from topstruct.pipeline import color_nodes
+from topstruct.verifier import verify_decomposition
 
 KINDS = ("tree", "forest", "cycle")
 VERTICES = 6
@@ -109,13 +109,25 @@ def test_reach_matches_closure_and_walks_breadth_first():
 
 
 def test_is_tree_matches_brute_force():
+    # one vertex of its own per node: the axioms hold, and only the
+    # tree is left to check
     seen = set()
-    for _, ids, edges, td in _cases(2, 300):
+    for _, ids, edges, _ in _cases(2, 300):
+        g = Graph.from_edges(len(ids), [])
+        td = TreeDecomposition(edges, {x: {i + 1} for i, x in enumerate(ids)})
         expected = brute_is_tree(ids, edges)
-        assert td.is_tree() == expected
+        assert verify_decomposition(g, td) == expected
         seen.add(expected)
     assert seen == {True, False}
-    assert not TreeDecomposition(set(), {}).is_tree()
+    empty = TreeDecomposition(set(), {})
+    assert not verify_decomposition(Graph.from_edges(0, []), empty)
+    # a loop, or an edge to a node with no bag, is no tree, and no error
+    g = Graph.from_edges(3, [])
+    bags = {1: {1}, 2: {2}, 3: {3}}
+    for tree_edges in ({(1, 2), (3, 3)}, {(1, 2), (2, 4)}):
+        plain = SimpleNamespace(bags=bags, tree_edges=tree_edges)
+        assert brute_is_tree(bags, tree_edges) is False
+        assert verify_decomposition(g, plain) is False
 
 
 def test_side_nodes_on_any_edge_set():
@@ -164,24 +176,9 @@ def test_validate_subtree_condition():
             )
         )
         expected = brute_is_tree(ids, edges) and connected
-        assert td.validate(g) == expected
+        assert verify_decomposition(g, td) == expected
         seen.add((brute_is_tree(ids, edges), connected))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
-
-
-def test_torso_raises_not_a_subtree_exactly_when_disconnected():
-    g = Graph.from_edges(VERTICES, [])
-    seen = set()
-    for rng, ids, edges, td in _cases(7, 300):
-        node_set = set(rng.sample(ids, rng.randint(1, len(ids))))
-        connected = brute_closure(min(node_set), edges, node_set) == node_set
-        seen.add(connected)
-        if connected:
-            td.torso_at_subtree(g, node_set)
-        else:
-            with pytest.raises(NotASubtree):
-                td.torso_at_subtree(g, node_set)
-    assert seen == {True, False}
 
 
 def test_color_nodes_components_of_t_minus_f():

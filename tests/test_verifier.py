@@ -1,8 +1,12 @@
 import ast
 import random
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from conftest import octahedron_petersen, small_corpus, torso_at_subtree
 
 from topstruct import verifier
 from topstruct.decomposition import TreeDecomposition
@@ -21,6 +25,7 @@ from topstruct.pipeline import Coloring, Parameters, StructureResult, run_struct
 from topstruct.verifier import (
     _has_clique,
     _reduce_for_minor,
+    _torso,
     canonical_key,
     minor_oracle,
     verify_subdivision,
@@ -45,6 +50,26 @@ def _imported_modules(path):
     return found
 
 
+def _corrupted(td):
+    """(bags, tree_edges) of three broken copies of td, where it has
+    room for them: one vertex dropped from a largest bag, one tree edge
+    removed, and one edge added that closes a cycle."""
+    nodes = sorted(td.bags)
+    victim = max(nodes, key=lambda t: len(td.bags[t]))
+    bags = dict(td.bags)
+    bags[victim] = frozenset(sorted(bags[victim])[1:])
+    yield bags, set(td.tree_edges)
+    edges = sorted(td.tree_edges)
+    if edges:
+        yield dict(td.bags), set(edges[1:])
+    chords = [
+        (s, t) for i, s in enumerate(nodes) for t in nodes[i + 1:]
+        if (s, t) not in td.tree_edges
+    ]
+    if chords:
+        yield dict(td.bags), set(td.tree_edges) | {chords[0]}
+
+
 def test_verifier_shares_no_code_with_the_search():
     # the verifier re-checks what the search found, so it may reach the
     # package only through the error types and the graph; and no module
@@ -55,6 +80,41 @@ def test_verifier_shares_no_code_with_the_search():
     assert ours <= {"topstruct.errors", "topstruct.graph"}, ours
     for name, modules in sorted(imports.items()):
         assert not any(m.split(".")[0] == "conftest" for m in modules), name
+    # nor may it read a decomposition through anything but its bags and
+    # tree edges: on those alone, as plain data, every report is the
+    # same, for the pipeline's results (the octahedron + Petersen seeds
+    # reach red torsos) and for broken copies of them
+    runs = [
+        (g, Parameters.generalized_km(3, 6))
+        for g in small_corpus(53, 60, 10, min_n=4)
+    ]
+    runs += [
+        (octahedron_petersen(seed), Parameters.generalized_km(4, 5))
+        for seed in range(30)
+    ]
+    checked = broken = red = torsos = 0
+    for g, p in runs:
+        res = run_structure(g, p)
+        if res.variant != "decomposition":
+            continue
+        td = res.decomposition
+        for t in sorted(td.bags):
+            assert _torso(g, td, t) == torso_at_subtree(g, td, {t})
+            torsos += 1
+        red += "red" in res.coloring.color.values()
+        copies = [(dict(td.bags), set(td.tree_edges))]
+        copies += _corrupted(td)
+        for bags, tree_edges in copies:
+            typed = TreeDecomposition(tree_edges, bags)
+            plain = SimpleNamespace(bags=bags, tree_edges=tree_edges)
+            want = verify_theorem(g, p, replace(res, decomposition=typed))
+            got = verify_theorem(g, p, replace(res, decomposition=plain))
+            assert got.render() == want.render()
+            checked += 1
+            broken += want.exit_code == 1
+    # floors from a reading: 182 reports, 111 of them failing, 20 runs
+    # with a red node and 188 node torsos
+    assert checked >= 182 and broken >= 111 and red >= 20 and torsos >= 188
 
 
 def test_verify_subdivision_good_and_bad():
@@ -181,20 +241,48 @@ def _gnm(n, edge_count, rng):
     return Graph.from_edges(n, rng.sample(pairs, edge_count))
 
 
-def test_minor_oracle_matches_unpruned_reference():
+def _oracle_graphs():
     rng = random.Random(97)
     graphs = [_planar_3_tree(n, rng) for n in range(8, 13)]
     for _ in range(30):
         n = rng.randint(4, 10)
         graphs.append(_gnm(n, rng.randint(n, n * (n - 1) // 2), rng))
-    graphs += [petersen_graph(), grid_graph(3, 4), complete_graph(6)]
+    return graphs + [petersen_graph(), grid_graph(3, 4), complete_graph(6)]
+
+
+def test_minor_oracle_matches_unpruned_reference():
     answers = set()
-    for g in graphs:
+    for g in _oracle_graphs():
         for m in range(4, 8):
             ans = minor_oracle(g, m)
             assert ans == _unpruned_minor_oracle(g, m), (sorted(g.edges), m)
             answers.add(ans)
     assert answers == {True, False}
+
+
+def test_minor_oracle_agrees_on_labeled_keys(monkeypatch):
+    # every benchmark workload keys its graphs canonically (CI pins 0
+    # fallbacks), so only here does the labeled fallback key memo
+    # entries: with a cap of a few nodes, many keys fall back, and the
+    # oracle must still answer as the reference does
+    monkeypatch.setattr(verifier, "_CANONICAL_CAP", 3)
+    keys = []
+
+    def counting_key(g):
+        keys.append(canonical_key(g))
+        return keys[-1]
+
+    monkeypatch.setattr(verifier, "canonical_key", counting_key)
+    for g in _oracle_graphs():
+        for m in range(4, 8):
+            assert minor_oracle(g, m) == _unpruned_minor_oracle(g, m), (
+                sorted(g.edges),
+                m,
+            )
+    # a reading keyed 1525 of 3329 graphs labeled: both forms share
+    # the memo
+    labeled = sum(key[1] == "labeled" for key in keys)
+    assert 1525 <= labeled < len(keys)
 
 
 def test_minor_oracle_keys_planar_3_tree_once(monkeypatch):
