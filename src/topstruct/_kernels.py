@@ -58,7 +58,8 @@ def reachable(adj, start, allowed):
 
 
 def components(adj, mask):
-    """Connected components of the induced subgraph on ``mask``."""
+    """Connected components of the induced subgraph on ``mask``, in
+    the order of their smallest vertices."""
     out = []
     rest = mask
     while rest:

@@ -11,7 +11,7 @@ from operator import attrgetter
 
 from .errors import DEFAULT_BUDGET, FormatError, NotAnEdge
 from .graph import mask_of
-from .separations import Separation, enumerate_separations
+from .separations import Separation, _mask_key, enumerate_separations
 
 
 @dataclass(frozen=True)
@@ -181,23 +181,38 @@ class TreeDecomposition:
         ``seps`` is S_k(g) as ``enumerate_separations(g, k)`` returns
         it; a caller that checks many decompositions of one graph
         enumerates it once, and without it the check enumerates its own.
-        It must ascend by ``order``, since each level is a slice of it
-        found by bisection, and within an order by ``sort_key``.  Its
-        proper members are the only possible witnesses: the thin side of
-        (V, X) or (V, V) is X itself, and a witness needs p > |X| of a
-        bag's vertices on each side.  Each separation is tested in its
-        own direction, then in its flip's, which shares its sort_key; so
-        for each (p, s, t) the first match of order < p with
-        |A ∩ V_s| >= p and |B ∩ V_t| >= p is the minimum witness.
+        It must be grouped by ascending ``order``, since each level is a
+        slice of it found by bisection; within an order any sequence
+        gives the same result.  Its members must be canonical.  Its
+        proper members are the only possible witnesses: the thin side
+        of (V, X) or (V, V) is X itself, and a witness needs p > |X| of
+        a bag's vertices on each side.
+
+        For each (p, s, t) the level is scanned, each separation in its
+        own direction and then in its flip's, until one qualifies:
+        |A ∩ V_s| >= p and |B ∩ V_t| >= p.  Every (p, s, t) with no
+        match builds no key.  At the first match the scan goes on to the
+        end of the level and keeps, of the separations that qualify
+        (none came before the match), the one of least
+        ``(_mask_key(mask_a), _mask_key(mask_b))``: as it is if its own
+        direction qualifies, else flipped.  That is the minimum witness.
+        ``_mask_key`` sorts like the ascending vertex tuple and is
+        injective, so on the canonical separations of one order this key
+        orders them exactly as ``Separation.sort_key`` does, and no two
+        of them tie.  A separation and its flip share a sort_key, and
+        its own direction is preferred.  So the witness is the first
+        match of a scan over the level sorted by sort_key: the least
+        (order, sort_key) witness among both directions of every
+        separation of order < p, given the next paragraph.  It does not
+        depend on the order within the level.
 
         Level p tests only the separations of order exactly p - 1.
         Suppose one of order o < p - 1 qualified at (p, s, t).  Then it
         would also qualify at (o + 1, s, t): o + 1 <= p, and p is at
         most the path minimum, |A ∩ V_s| and |B ∩ V_t|.  So the check
         would have returned at level o + 1 already.  Reaching level p,
-        none of order < p - 1 qualifies there, and the first match
-        among those of order p - 1 is the first match among all of
-        order < p.
+        none of order < p - 1 qualifies there, and the least witness
+        of order p - 1 is the least among all of order < p.
 
         At level p, s and t qualify exactly when no edge of the s-t path
         has order < p: when they lie in one part of the tree left by
@@ -243,13 +258,38 @@ class TreeDecomposition:
                     vt = bag_masks[t_node]
                     if vt.bit_count() < p + (t_node == s_node):
                         continue
-                    for sep in level:
+                    rest = iter(level)
+                    for sep in rest:
                         am, bm = sep.mask_a, sep.mask_b
-                        if (am & vs).bit_count() >= p and (bm & vt).bit_count() >= p:
-                            return LeannessViolation(s_node, t_node, p, sep)
-                        if (bm & vs).bit_count() >= p and (am & vt).bit_count() >= p:
-                            return LeannessViolation(s_node, t_node, p, sep.flip())
+                        if (
+                            (am & vs).bit_count() >= p and (bm & vt).bit_count() >= p
+                            or (bm & vs).bit_count() >= p and (am & vt).bit_count() >= p
+                        ):
+                            witness = _least_witness(sep, rest, vs, vt, p)
+                            return LeannessViolation(s_node, t_node, p, witness)
         return None
+
+
+def _least_witness(first, rest, vs, vt, p):
+    """Of ``first``, which qualifies between bags ``vs`` and ``vt`` at
+    p in one direction or the other, and of the separations of ``rest``
+    that do, the one of least key, in its own direction if that
+    qualifies, else flipped."""
+    best = first
+    best_key = (_mask_key(first.mask_a), _mask_key(first.mask_b))
+    for sep in rest:
+        am, bm = sep.mask_a, sep.mask_b
+        if (
+            (am & vs).bit_count() >= p and (bm & vt).bit_count() >= p
+            or (bm & vs).bit_count() >= p and (am & vt).bit_count() >= p
+        ):
+            key = (_mask_key(am), _mask_key(bm))
+            if key < best_key:
+                best, best_key = sep, key
+    am, bm = best.mask_a, best.mask_b
+    if (am & vs).bit_count() >= p and (bm & vt).bit_count() >= p:
+        return best
+    return best.flip()
 
 
 # -- .td text format ---------------------------------------------------

@@ -159,6 +159,8 @@ def build_k_lean(g, k, budget=DEFAULT_BUDGET, *, seps=None):
 
     ``seps`` is S_k(g) as ``enumerate_separations(g, k)`` returns it, for
     a caller that needs it elsewhere too; omitted, it is enumerated here.
+    It must be grouped by ascending order, in any sequence within an
+    order (see ``lean_step_trace``).
     """
     td = TreeDecomposition.single_bag(g.vertices)
     for _, td in lean_step_trace(g, k, budget, seps=seps):
@@ -173,10 +175,11 @@ def lean_step_trace(g, k, budget=DEFAULT_BUDGET, *, seps=None):
     g never changes, so S_k(g) is enumerated once (unless the caller
     passes it as ``seps``), and every ``check_k_lean`` step reads that
     one list as its ``seps``: the separations with two non-empty
-    exclusive sides (no other can be a witness), ascending by
-    (order, sort_key), each tested in its own direction and then in its
-    flip's.  In that order a step's first match is its minimum witness.
-    Each exchange step costs one unit of ``budget``; the loop ends
+    exclusive sides (no other can be a witness), grouped by ascending
+    order, since the check bisects out each level.  Within an order
+    they may come in any sequence: the check takes the least witness
+    of a level itself, which is a step's minimum witness.  Each
+    exchange step costs one unit of ``budget``; the loop ends
     regardless, since every step strictly lowers the fatness
     (``improvement_step`` raises otherwise).
     """

@@ -138,17 +138,19 @@ def min_vertex_cut(g, u, v):
 def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
     """The proper members of S_k, k = max_order: every separation of
     order < k with both exclusive sides non-empty, canonically, each
-    pair once.
+    pair once, grouped by ascending order.
 
     Iterates over candidate separators and 2-colorings of the remaining
     components; intended for oracle scale only.  A coloring and its
     complement give one separation and its flip.  Only the colorings
     that put the component of the smallest non-separator vertex on side
     A are built: that side holds the smallest exclusive vertex, so each
-    of them is canonical and each unordered pair comes out once.  Each
-    separation is built from its two masks, and the list is sorted by
-    ``Separation.sort_key``, computed from the masks with ``_mask_key``.
-    Each candidate separator is charged ``1 << len(comps)`` to
+    of them is canonical and each unordered pair comes out once.  The
+    separators come by ascending size, so the list is grouped by order;
+    within an order the separations stay in the order they are made,
+    unsorted.  ``TreeDecomposition.check_k_lean`` picks its least
+    witness itself, and no other consumer reads the order within a
+    level.  Each candidate separator is charged ``1 << len(comps)`` to
     ``budget``, whether or not it gives a separation.
 
     The degenerate members, (V, X) for every X of fewer than k vertices
@@ -169,30 +171,31 @@ def enumerate_separations(g, max_order, budget=DEFAULT_BUDGET):
       holds a block or a model.
     """
     budget = Budget.of(budget)
-    keyed = []
-    verts = sorted(g.vertices)
+    # looked up per call, so that a wrapper installed on the kernel
+    # module is the one called
+    components = _kernels.components
+    charge = budget.charge
+    of_masks = Separation._of_masks
+    adj = g.adj
     full = g.vertex_mask
+    vertex_bits = [1 << v for v in g.vertices]
+    out = []
     for size in range(0, max_order):
         if size > g.n:
             break
-        for sep in itertools.combinations(verts, size):
-            sep_m = mask_of(sep)
+        for sep in itertools.combinations(vertex_bits, size):
+            sep_m = sum(sep)
             rest = full & ~sep_m
-            comps = g.component_masks(rest)
-            budget.charge("separation enumeration", 1 << len(comps))
+            comps = components(adj, rest)
+            charge("separation enumeration", 1 << len(comps))
             if len(comps) < 2:  # only (V, X), or (V, V) when X = V
                 continue
-            low = rest & -rest
-            unions = [0]  # unions of every subset of the other components
-            for c in comps:
-                if not c & low:
-                    unions += [u | c for u in unions]
-            base_a = sep_m | next(c for c in comps if c & low)
+            # comps[0] holds the smallest non-separator vertex
+            base_a = sep_m | comps[0]
             others = rest & ~base_a
+            unions = [0]  # unions of every subset of the other components
+            for c in comps[1:]:
+                unions += [u | c for u in unions]
             unions.pop()  # the union of them all gives (V, X)
-            for u in unions:
-                am, bm = base_a | u, sep_m | (others ^ u)
-                keyed.append((size, _mask_key(am), _mask_key(bm), am, bm))
-    keyed.sort()
-    of_masks = Separation._of_masks
-    return [of_masks(am, bm) for _, _, _, am, bm in keyed]
+            out += [of_masks(base_a | u, sep_m | (others ^ u)) for u in unions]
+    return out

@@ -34,6 +34,7 @@ from topstruct.graph import (
     set_of,
 )
 from topstruct.obstructions import Block, Model, find_z_based_model
+from topstruct.pipeline import Parameters, run_structure
 from topstruct.separations import (
     Separation,
     enumerate_separations,
@@ -799,6 +800,22 @@ def octahedron_petersen(seed):
     cross = list(itertools.product(range(1, 7), range(7, 17)))
     joins = rng.sample(cross, rng.randint(1, 3))
     return Graph.from_edges(16, octahedron + petersen + joins)
+
+
+@pytest.fixture(scope="session")
+def octahedron_petersen_runs():
+    """(graph, result) of ``run_structure`` at (4, 5) on the 30 seeded
+    ``octahedron_petersen`` graphs, each within 2,000,000 units.
+
+    Computed once for the session and shared by every test that reads
+    them, so no test may change a result; ``dataclasses.replace`` makes
+    a changed copy.
+    """
+    params = Parameters.generalized_km(4, 5)
+    graphs = [octahedron_petersen(seed) for seed in range(30)]
+    return tuple(
+        (g, run_structure(g, params, budget=2_000_000)) for g in graphs
+    )
 
 
 def random_cubic(n, rng):

@@ -18,7 +18,6 @@ from conftest import (
     find_meeting_model,
     home_node,
     is_separation,
-    octahedron_petersen,
     record_acceptance,
     small_corpus,
     torso_at_subtree,
@@ -159,21 +158,24 @@ def test_criterion_5_efficient_distinction():
     _finish(5, "path order equals distinguishing order", failures)
 
 
-def test_criterion_6_coloring_properties():
+def test_criterion_6_coloring_properties(octahedron_petersen_runs):
     # the corpus at (3, 6) yields no F edge; the octahedron + Petersen
     # seeds at (4, 5) reach both colours, so the join lemma is checked
     failures = []
     runs = f_checked = joins_checked = blue_checked = 0
+    corpus_params = Parameters.generalized_km(3, 6)
     inputs = [
-        (Parameters.generalized_km(3, 6), small_corpus(106, 80, 11)),
         (
-            Parameters.generalized_km(4, 5),
-            [octahedron_petersen(seed) for seed in range(30)],
+            corpus_params,
+            (
+                (g, run_structure(g, corpus_params))
+                for g in small_corpus(106, 80, 11)
+            ),
         ),
+        (Parameters.generalized_km(4, 5), octahedron_petersen_runs),
     ]
-    for p, graphs in inputs:
-        for i, g in enumerate(graphs):
-            res = run_structure(g, p)
+    for p, results in inputs:
+        for i, (g, res) in enumerate(results):
             if res.variant != "decomposition":
                 continue
             runs += 1

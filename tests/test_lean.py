@@ -521,6 +521,54 @@ def test_check_k_lean_needs_no_degenerate_row_and_no_lower_order():
     assert diagonal > 200 and across_nodes > 30
 
 
+def _rearranged_levels(seps, arrange):
+    """``seps`` with each order's members rearranged in place by
+    ``arrange``, the orders still ascending."""
+    levels = {}
+    for sep in seps:
+        levels.setdefault(sep.order, []).append(sep)
+    out = []
+    for order in sorted(levels):
+        arrange(levels[order])
+        out += levels[order]
+    return out
+
+
+def test_check_k_lean_ignores_order_within_a_level():
+    """The enumerator leaves each order's separations unsorted, so the
+    check picks the least witness itself: the same violation comes back
+    with each level as enumerated, reversed, or shuffled.  Checked on
+    every decomposition the lean builder visits and on the lean result
+    with each tree edge contracted, which give the witnesses whose s
+    and t differ and the flipped ones; disconnected graphs give levels
+    of order 0.  The floors are those of a reading of 602 violations,
+    80 across nodes, 17 flipped and 74 disconnected graphs."""
+    rng = random.Random(67)
+    violations = across_nodes = flipped = disconnected = 0
+    for k in (2, 3, 4):
+        for g in small_corpus(70 + k, 60, 9):
+            disconnected += not g.is_connected_set(g.vertices)
+            seps = enumerate_separations(g, k)
+            arrangements = [
+                _rearranged_levels(seps, list.reverse),
+                _rearranged_levels(seps, rng.shuffle),
+            ]
+            tds = [TreeDecomposition.single_bag(g.vertices)]
+            tds += [td for _, td in lean_step_trace(g, k, seps=seps)]
+            lean = tds[-1]
+            tds += [lean.contract_tree_edge(*e) for e in sorted(lean.tree_edges)]
+            for td in tds:
+                want = td.check_k_lean(g, k, seps=seps)
+                for other in arrangements:
+                    assert td.check_k_lean(g, k, seps=other) == want
+                if want is not None:
+                    violations += 1
+                    across_nodes += want.s != want.t
+                    flipped += want.witness.canonical() != want.witness
+    assert violations >= 602 and across_nodes >= 80 and flipped >= 17
+    assert disconnected >= 74
+
+
 def test_check_k_lean_rejects_a_forest():
     # at k = 1 the connected P4 has no separation of order 0, so no
     # level has a separation to test; at k = 2 ({1, 2}, {2, 3, 4}) starts a

@@ -519,7 +519,9 @@ def _check_red_half_run(g, params, res, budget):
     return verified, len(lc.f_edges), bichromatic, red_checked
 
 
-def test_octahedron_petersen_family_reaches_the_red_half():
+def test_octahedron_petersen_family_reaches_the_red_half(
+    octahedron_petersen_runs,
+):
     """At (4, 5) each of the 30 seeded ``octahedron_petersen`` graphs
     ends, within 2,000,000 units, in a verified subdivision or a
     verified decomposition.  In each decomposition:
@@ -549,9 +551,7 @@ def test_octahedron_petersen_family_reaches_the_red_half():
     params = Parameters.generalized_km(4, 5)
     ends = {"subdivision": 0, "decomposition": 0}
     f_checked = joins_checked = red_checked = 0
-    for seed in range(30):
-        g = octahedron_petersen(seed)
-        res = run_structure(g, params, budget=2_000_000)
+    for seed, (g, res) in enumerate(octahedron_petersen_runs):
         ends[res.variant] += 1
         verified, f, joins, red = _check_red_half_run(
             g, params, res, DEFAULT_BUDGET

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import octahedron_petersen, small_corpus, torso_at_subtree
+from conftest import small_corpus, torso_at_subtree
 
 from topstruct import verifier
 from topstruct.decomposition import TreeDecomposition
@@ -70,7 +70,7 @@ def _corrupted(td):
         yield dict(td.bags), set(td.tree_edges) | {chords[0]}
 
 
-def test_verifier_shares_no_code_with_the_search():
+def test_verifier_shares_no_code_with_the_search(octahedron_petersen_runs):
     # the verifier re-checks what the search found, so it may reach the
     # package only through the error types and the graph; and no module
     # may lean on the test suite's references
@@ -84,17 +84,17 @@ def test_verifier_shares_no_code_with_the_search():
     # tree edges: on those alone, as plain data, every report is the
     # same, for the pipeline's results (the octahedron + Petersen seeds
     # reach red torsos) and for broken copies of them
+    corpus_params = Parameters.generalized_km(3, 6)
     runs = [
-        (g, Parameters.generalized_km(3, 6))
+        (g, corpus_params, run_structure(g, corpus_params))
         for g in small_corpus(53, 60, 10, min_n=4)
     ]
     runs += [
-        (octahedron_petersen(seed), Parameters.generalized_km(4, 5))
-        for seed in range(30)
+        (g, Parameters.generalized_km(4, 5), res)
+        for g, res in octahedron_petersen_runs
     ]
     checked = broken = red = torsos = 0
-    for g, p in runs:
-        res = run_structure(g, p)
+    for g, p, res in runs:
         if res.variant != "decomposition":
             continue
         td = res.decomposition
@@ -353,3 +353,76 @@ def test_verify_theorem_standard_mode():
     assert rep.passed
     text = rep.render()
     assert "adhesion" in text and "torso" in text
+
+
+def _plain_result(bags, tree_edges=(), color=None):
+    """A decomposition result as plain data: the bags, the tree edges
+    and, when given, the node colours."""
+    return SimpleNamespace(
+        decomposition=SimpleNamespace(bags=bags, tree_edges=set(tree_edges)),
+        coloring=None if color is None else SimpleNamespace(color=color),
+    )
+
+
+def _two_bags_sharing(shared):
+    """Two bags of shared + 1 vertices meeting in ``shared`` vertices,
+    on a path through them, as a graph and its plain bags."""
+    n = shared + 2
+    g = path_graph(n)
+    return g, {1: frozenset(range(1, n)), 2: frozenset(range(2, n + 1))}
+
+
+def _complete_bipartite(a, b):
+    return Graph.from_edges(
+        a + b, [(u, a + v) for u in range(1, a + 1) for v in range(1, b + 1)]
+    )
+
+
+def test_verify_theorem_generalized_bounds_bite():
+    """At (4, 5) an adhesion of 3 passes and of 4 fails; a red torso
+    passes with 3 vertices of degree at least 2k² = 32 and fails with
+    k = 4 of them, and 4 vertices of degree 31 do not count."""
+    p = Parameters.generalized_km(4, 5)
+    red = {1: "red", 2: "red"}
+    g, bags = _two_bags_sharing(3)
+    assert verify_theorem(g, p, _plain_result(bags, {(1, 2)}, red)).passed
+    g, bags = _two_bags_sharing(4)
+    rep = verify_theorem(g, p, _plain_result(bags, {(1, 2)}, red))
+    assert rep.failures == ["adhesion 4 < k=4"]
+    for a, b, passed in ((3, 32, True), (4, 32, False), (4, 31, True)):
+        g = _complete_bipartite(a, b)
+        res = _plain_result({1: frozenset(g.vertices)}, color={1: "red"})
+        rep = verify_theorem(g, p, res)
+        assert rep.passed == passed, (a, b)
+    assert rep.render() == (
+        "pass: decomposition axioms\n"
+        "pass: adhesion 0 < k=4\n"
+        "pass: torso 1 (red, 35 vertices): 0 vertices of degree >= 32"
+        " (< 4 required)\n"
+    )
+
+
+def test_verify_theorem_standard_bounds_bite():
+    """At r = 2 an adhesion of 3 passes and of r² = 4 fails.  K_8 passes
+    by degree, with no vertex of degree 2r⁴ = 32; with 30 leaves on each
+    of four of its vertices it has r² = 4 such vertices and a K_8
+    minor, so it fails both conditions."""
+    p = Parameters.from_r(2)
+    g, bags = _two_bags_sharing(3)
+    assert verify_theorem(g, p, _plain_result(bags, {(1, 2)})).passed
+    g, bags = _two_bags_sharing(4)
+    rep = verify_theorem(g, p, _plain_result(bags, {(1, 2)}))
+    assert rep.failures == ["adhesion 4 < r^2=4"]
+    k8 = complete_graph(8)
+    rep = verify_theorem(k8, p, _plain_result({1: frozenset(k8.vertices)}))
+    assert rep.passed
+    assert "pass: torso 1 (uncolored, 8 vertices): degree condition" in (
+        rep.render()
+    )
+    leaves = [(1 + i // 30, 9 + i) for i in range(120)]
+    g = Graph.from_edges(128, k8.sorted_edges() + leaves)
+    rep = verify_theorem(g, p, _plain_result({1: frozenset(g.vertices)}))
+    assert rep.failures == [
+        "torso 1 (uncolored, 128 vertices): degree condition failed,"
+        " minor condition fails too"
+    ]
