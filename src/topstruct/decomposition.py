@@ -1,17 +1,18 @@
-"""Tree-decompositions: induced separations, contraction, fatness,
-leanness checking, and the .td text format.
+"""Tree-decompositions: induced separations, fatness, leanness
+checking, and the .td text format.
 
-Instances are immutable after construction; contraction returns a new
-value.  Every walk of the tree is one ``TreeDecomposition.reach``.
+Instances are immutable after construction.  Every walk of the tree is
+one ``TreeDecomposition.reach``.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 
 from .errors import DEFAULT_BUDGET, FormatError, NotAnEdge
-from .graph import mask_of
-from .separations import Separation, _mask_key, enumerate_separations
+from .graph import bits, mask_of
+from .separations import Separation, enumerate_separations
 
 
 @dataclass(frozen=True)
@@ -32,19 +33,42 @@ class TreeDecomposition:
     """A tree with one bag per node.
 
     ``tree_edges`` are pairs of node ids and ``bags`` maps each node id to
-    its vertex set; the nodes are the bag keys.
+    its vertex set; the nodes are the bag keys.  ``masks`` maps each node
+    id to its bag as a vertex mask, bit v for vertex v.  It is derived
+    from the bags: the exchange step hands over the masks it built the
+    bags from, and any other decomposition builds them on first use.
     """
 
     def __init__(self, tree_edges, bags):
-        self.tree_edges = frozenset(
-            (min(s, t), max(s, t)) for s, t in tree_edges
+        self._init(
+            frozenset((min(s, t), max(s, t)) for s, t in tree_edges),
+            {node: frozenset(bag) for node, bag in bags.items()},
         )
-        self.bags = {node: frozenset(bag) for node, bag in bags.items()}
-        self.nodes = frozenset(self.bags)
-        self._neighbors = {node: set() for node in self.nodes}
-        for s, t in self.tree_edges:
+
+    @classmethod
+    def _of_masks(cls, tree_edges, masks):
+        """From ``(min, max)`` node pairs and a node -> vertex mask dict,
+        which the new decomposition keeps as its ``masks``."""
+        td = cls.__new__(cls)
+        td._init(
+            frozenset(tree_edges),
+            {node: frozenset(bits(m)) for node, m in masks.items()},
+        )
+        td.masks = masks
+        return td
+
+    def _init(self, tree_edges, bags):
+        self.tree_edges = tree_edges
+        self.bags = bags
+        self.nodes = frozenset(bags)
+        self._neighbors = {node: set() for node in bags}
+        for s, t in tree_edges:
             self._neighbors[s].add(t)
             self._neighbors[t].add(s)
+
+    @cached_property
+    def masks(self):
+        return {node: mask_of(bag) for node, bag in self.bags.items()}
 
     @staticmethod
     def single_bag(vertices):
@@ -122,14 +146,18 @@ class TreeDecomposition:
         """Separation (U_s, W_t) induced by the tree edge st."""
         self._require_edge(s, t)
         s_side = self.side_nodes(s, t)
-        u = frozenset().union(*(self.bags[x] for x in s_side))
-        w = frozenset().union(*(self.bags[x] for x in self.nodes - s_side))
-        return Separation(u, w)
+        u = w = 0
+        for x, m in self.masks.items():
+            if x in s_side:
+                u |= m
+            else:
+                w |= m
+        return Separation._of_masks(u, w)
 
     def edge_order(self, s, t):
         # Separator of an induced separation equals the bag intersection.
         self._require_edge(s, t)
-        return len(self.bags[s] & self.bags[t])
+        return (self.masks[s] & self.masks[t]).bit_count()
 
     def adhesion(self):
         if not self.tree_edges:
@@ -141,23 +169,6 @@ class TreeDecomposition:
         if not edges:
             return None
         return min(self.edge_order(a, b) for a, b in edges)
-
-    # -- contraction ---------------------------------------------------
-
-    def contract_tree_edge(self, s, t):
-        """Contract st; the merged node gets a fresh id."""
-        self._require_edge(s, t)
-        new = max(self.nodes) + 1
-        edges = set()
-        for a, b in self.tree_edges:
-            if {a, b} == {s, t}:
-                continue
-            a2 = new if a in (s, t) else a
-            b2 = new if b in (s, t) else b
-            edges.add((min(a2, b2), max(a2, b2)))
-        bags = {n: self.bags[n] for n in self.nodes - {s, t}}
-        bags[new] = self.bags[s] | self.bags[t]
-        return TreeDecomposition(edges, bags)
 
     # -- fatness -------------------------------------------------------
 
@@ -191,20 +202,20 @@ class TreeDecomposition:
         For each (p, s, t) the level is scanned, each separation in its
         own direction and then in its flip's, until one qualifies:
         |A ∩ V_s| >= p and |B ∩ V_t| >= p.  Every (p, s, t) with no
-        match builds no key.  At the first match the scan goes on to the
-        end of the level and keeps, of the separations that qualify
-        (none came before the match), the one of least
-        ``(_mask_key(mask_a), _mask_key(mask_b))``: as it is if its own
+        match compares nothing.  At the first match the scan goes on to
+        the end of the level and keeps, of the separations that qualify
+        (none came before the match), the least by (A's ascending vertex
+        tuple, B's), compared by ``_tuple_less``: as it is if its own
         direction qualifies, else flipped.  That is the minimum witness.
-        ``_mask_key`` sorts like the ascending vertex tuple and is
-        injective, so on the canonical separations of one order this key
-        orders them exactly as ``Separation.sort_key`` does, and no two
-        of them tie.  A separation and its flip share a sort_key, and
-        its own direction is preferred.  So the witness is the first
-        match of a scan over the level sorted by sort_key: the least
-        (order, sort_key) witness among both directions of every
-        separation of order < p, given the next paragraph.  It does not
-        depend on the order within the level.
+        A separation's sort key is (order, A's tuple, B's tuple) of its
+        canonical direction, the one whose A holds the least exclusive
+        vertex; a separation and its flip share it, and its own
+        direction is preferred.  The canonical members of one level are
+        distinct, so no two tie.  So the witness is the first match of a
+        scan over the level sorted by that key: the least (order, key)
+        witness among both directions of every separation of order < p,
+        given the next paragraph.  It does not depend on the order
+        within the level.
 
         Level p tests only the separations of order exactly p - 1.
         Suppose one of order o < p - 1 qualified at (p, s, t).  Then it
@@ -224,8 +235,10 @@ class TreeDecomposition:
         p - 1 puts p vertices of V_s on each side.  One walk up front
         rejects a forest before any level can return.
         """
+        bag_masks = self.masks
         order = {
-            (s, t): len(self.bags[s] & self.bags[t]) for s, t in self.tree_edges
+            (s, t): (bag_masks[s] & bag_masks[t]).bit_count()
+            for s, t in self.tree_edges
         }
         adhesion = max(order.values(), default=0)
         if adhesion >= k:
@@ -235,7 +248,6 @@ class TreeDecomposition:
             raise ValueError("nodes in different trees")
         if seps is None:
             seps = enumerate_separations(g, k, budget=budget)
-        bag_masks = {node: mask_of(bag) for node, bag in self.bags.items()}
         order_of = attrgetter("order")
         for p in range(1, k + 1):
             level = seps[
@@ -273,23 +285,39 @@ class TreeDecomposition:
 def _least_witness(first, rest, vs, vt, p):
     """Of ``first``, which qualifies between bags ``vs`` and ``vt`` at
     p in one direction or the other, and of the separations of ``rest``
-    that do, the one of least key, in its own direction if that
-    qualifies, else flipped."""
+    that do, the least by the ascending vertex tuples of (A, B), in its
+    own direction if that qualifies, else flipped."""
     best = first
-    best_key = (_mask_key(first.mask_a), _mask_key(first.mask_b))
+    best_a, best_b = first.mask_a, first.mask_b
     for sep in rest:
         am, bm = sep.mask_a, sep.mask_b
         if (
             (am & vs).bit_count() >= p and (bm & vt).bit_count() >= p
             or (bm & vs).bit_count() >= p and (am & vt).bit_count() >= p
+        ) and (
+            _tuple_less(am, best_a) if am != best_a else _tuple_less(bm, best_b)
         ):
-            key = (_mask_key(am), _mask_key(bm))
-            if key < best_key:
-                best, best_key = sep, key
-    am, bm = best.mask_a, best.mask_b
-    if (am & vs).bit_count() >= p and (bm & vt).bit_count() >= p:
+            best, best_a, best_b = sep, am, bm
+    if (best_a & vs).bit_count() >= p and (best_b & vt).bit_count() >= p:
         return best
     return best.flip()
+
+
+def _tuple_less(a, b):
+    """True iff the ascending vertex tuple of mask ``a`` sorts before
+    that of mask ``b``.
+
+    The tuples agree up to the least vertex in which the sets differ,
+    ``low``.  If ``a`` holds it, ``a``'s tuple has ``low`` where
+    ``b``'s has a greater vertex, or ends: ``a`` comes first iff ``b``
+    has a vertex above ``low``, that is iff ``b > low``.  Otherwise
+    ``a`` comes first iff its tuple ends there, that is iff ``a < low``.
+    """
+    d = a ^ b
+    low = d & -d
+    if a & low:
+        return b > low
+    return a < low
 
 
 # -- .td text format ---------------------------------------------------

@@ -24,7 +24,6 @@ from bisect import bisect_left
 from .decomposition import TreeDecomposition
 from .errors import DEFAULT_BUDGET, Budget, InvariantViolation, NotAViolation
 from .flows import disjoint_path_system
-from .graph import bits, mask_of
 from .separations import enumerate_separations, is_mask_separation
 
 
@@ -70,9 +69,10 @@ def improvement_step(g, td, viol):
     every separator vertex whose B-side path meets the bag (and
     symmetrically), which routes each separator vertex's subtree to the
     gluing edge without growing any bag.  Every set here is a vertex
-    mask, one per bag, built once per step.
+    mask: the bags are read from ``td.masks``, and the new bags go to
+    the new decomposition as its masks.
     """
-    bag_masks = {u: mask_of(bag) for u, bag in td.bags.items()}
+    bag_masks = td.masks
     if not _violation_is_genuine(g, td, viol, bag_masks):
         raise NotAViolation("not a leanness violation for this decomposition")
     sep = viol.witness
@@ -86,7 +86,9 @@ def improvement_step(g, td, viol):
         paths, _ = disjoint_path_system(g, x, bag_masks[node] & side, side)
         if len(paths) < sep.order:
             raise NotAViolation("witness is not of minimum order")
-        path_bits.append([(1 << p[0], mask_of(p)) for p in paths if p[1:]])
+        path_bits.append(
+            [(1 << p[0], sum(1 << v for v in p)) for p in paths if p[1:]]
+        )
     paths_a, paths_b = path_bits
 
     offset = max(td.nodes) + 1
@@ -117,8 +119,8 @@ def improvement_step(g, td, viol):
 def _prune(bags, neigh):
     """Drop empty bags and bags contained in a neighboring bag from the
     tree given by ``bags`` (node -> vertex mask) and ``neigh`` (node ->
-    set of neighbors), and return what is left as a TreeDecomposition.
-    Both dicts are consumed.
+    set of neighbors), and return what is left as a TreeDecomposition
+    that keeps the masks of ``bags``.  Both dicts are consumed.
 
     The rule: merge the first node, in ascending id order, that is empty
     or lies inside a neighbor into the smallest such neighbor, and apply
@@ -135,7 +137,10 @@ def _prune(bags, neigh):
         u = order[i]
         bag = bags[u]
         others = neigh[u]
-        target = min((w for w in others if not bag & ~bags[w]), default=None)
+        target = None
+        for w in others:
+            if not bag & ~bags[w] and (target is None or w < target):
+                target = w
         if target is None:
             i += 1
             continue
@@ -151,7 +156,7 @@ def _prune(bags, neigh):
         if first < u:
             i = bisect_left(order, first)
     edges = [(u, w) for u in order for w in neigh[u] if u < w]
-    return TreeDecomposition(edges, {u: frozenset(bits(bags[u])) for u in order})
+    return TreeDecomposition._of_masks(edges, {u: bags[u] for u in order})
 
 
 def build_k_lean(g, k, budget=DEFAULT_BUDGET, *, seps=None):
@@ -162,9 +167,11 @@ def build_k_lean(g, k, budget=DEFAULT_BUDGET, *, seps=None):
     It must be grouped by ascending order, in any sequence within an
     order (see ``lean_step_trace``).
     """
-    td = TreeDecomposition.single_bag(g.vertices)
+    td = None
     for _, td in lean_step_trace(g, k, budget, seps=seps):
         pass
+    if td is None:
+        return TreeDecomposition.single_bag(g.vertices)
     return td
 
 

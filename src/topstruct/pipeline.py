@@ -172,26 +172,38 @@ def color_nodes(td, f, block_homes, model_homes):
 def contract_blue(td, coloring):
     """Contract every maximal all-blue subtree to a single node.
 
-    Each contraction renames the F edges as it renames the tree edges;
-    an F edge that is contracted away is dropped.
+    The rule, one tree edge at a time: contract the least all-blue edge
+    into a node with the next fresh id, one above the largest id so
+    far, and rename the F edges as the tree edges; an F edge that is
+    contracted away is dropped.  The rule runs on an edge set and a
+    node -> vertex mask dict, and one decomposition is built at the
+    end; with no all-blue edge, ``td`` itself is returned.
     """
     colors = dict(coloring.color)
     f = coloring.f_edges
+    edges = td.tree_edges
+    masks = None
     while True:
-        edge = None
-        for e in sorted(td.tree_edges):
-            if colors[e[0]] == "blue" and colors[e[1]] == "blue":
-                edge = e
-                break
-        if edge is None:
+        blue = [e for e in edges if colors[e[0]] == colors[e[1]] == "blue"]
+        if not blue:
             break
-        s, t = edge
-        td = td.contract_tree_edge(s, t)
-        fresh = max(td.nodes)
-        del colors[s]
-        del colors[t]
+        edge = s, t = min(blue)
+        if masks is None:
+            masks = dict(td.masks)
+            fresh = max(masks)
+        fresh += 1
+        masks[fresh] = masks.pop(s) | masks.pop(t)
+        del colors[s], colors[t]
         colors[fresh] = "blue"
+        # fresh is above every id, so each renamed pair stays (min, max)
+        edges = {
+            (b, fresh) if a in edge else (a, fresh) if b in edge else (a, b)
+            for a, b in edges
+            if (a, b) != edge
+        }
         f = {tuple(sorted(fresh if x in edge else x for x in e)) for e in f}
+    if masks is not None:
+        td = TreeDecomposition._of_masks(edges, masks)
     remaining_f = frozenset(e for e in f if e in td.tree_edges)
     return td, Coloring(colors, remaining_f, frozenset())
 

@@ -65,33 +65,6 @@ class Separation:
     def flip(self):
         return Separation._of_masks(self.mask_b, self.mask_a)
 
-    def canonical(self):
-        """Sides ordered lexicographically by smallest exclusive vertex."""
-        only_a = self.mask_a & ~self.mask_b
-        only_b = self.mask_b & ~self.mask_a
-        if only_b and (not only_a or only_b & -only_b < only_a & -only_a):
-            return self.flip()
-        return self
-
-    def sort_key(self):
-        c = self.canonical()
-        return (c.order, tuple(bits(c.mask_a)), tuple(bits(c.mask_b)))
-
-
-_SWAP_01 = str.maketrans("01", "10")
-
-
-def _mask_key(mask):
-    """A string that sorts like the ascending vertex tuple of ``mask``.
-
-    Character v is ``0`` when vertex v is in the set and ``1`` when not,
-    so the first vertex in which two sets differ decides, in favour of
-    the set holding it, and a set whose vertices run out first (a prefix
-    of the other's tuple) gives the shorter string.  Exact for sets of
-    positive vertices; bit 0, always clear, makes the empty set "1".
-    """
-    return bin(mask)[:1:-1].translate(_SWAP_01)
-
 
 def is_mask_separation(g, am, bm):
     """True iff the masks' union is V and no edge joins am∖bm to bm∖am."""

@@ -7,8 +7,9 @@ definition, models by validation of explicit candidates.  The reference
 checks of the theory (the exact minimum-fatness builder, the
 orientations of blocks and models and the home node of an orientation,
 the torso of a subtree, the join and RS lemma checks, the meet search
-that model homes are compared with) are test code as well: no module of
-the package imports this file.
+that model homes are compared with, blue contraction one tree edge at a
+time) are test code as well: no module of the package imports this
+file.
 """
 
 import importlib.util
@@ -23,6 +24,7 @@ from topstruct.errors import (
     DEFAULT_BUDGET,
     Budget,
     InvariantViolation,
+    NotAnEdge,
     PreconditionFailed,
 )
 from topstruct.graph import (
@@ -34,7 +36,7 @@ from topstruct.graph import (
     set_of,
 )
 from topstruct.obstructions import Block, Model, find_z_based_model
-from topstruct.pipeline import Parameters, run_structure
+from topstruct.pipeline import Coloring, Parameters, run_structure
 from topstruct.separations import (
     Separation,
     enumerate_separations,
@@ -110,6 +112,23 @@ def brute_menger(g, src, dst, allowed):
     raise AssertionError("unreachable")
 
 
+def canonical(sep):
+    """``sep`` with its sides ordered by their least exclusive vertex:
+    flipped when B holds a smaller one than A, or A holds none."""
+    only_a = sep.mask_a & ~sep.mask_b
+    only_b = sep.mask_b & ~sep.mask_a
+    if only_b and (not only_a or only_b & -only_b < only_a & -only_a):
+        return sep.flip()
+    return sep
+
+
+def sort_key(sep):
+    """(order, A's vertex tuple, B's) of the canonical direction: a
+    separation and its flip share it."""
+    c = canonical(sep)
+    return (c.order, tuple(bits(c.mask_a)), tuple(bits(c.mask_b)))
+
+
 def degenerate_members(g, k):
     """The members of S_k with an empty exclusive side: (V, X) for every
     X ⊆ V of fewer than k vertices, X = V included when n < k; by subset
@@ -127,7 +146,7 @@ def full_s_k(g, k, budget=DEFAULT_BUDGET):
     and the degenerate ones, ascending by sort_key."""
     return sorted(
         enumerate_separations(g, k, budget=budget) + degenerate_members(g, k),
-        key=Separation.sort_key,
+        key=sort_key,
     )
 
 
@@ -386,14 +405,14 @@ class ExplicitOrientation(Orientation):
     def from_w_sides(k, pairs):
         """From (separation, W) pairs, W given as a vertex collection."""
         return ExplicitOrientation(
-            k, {s.canonical(): mask_of(w) for s, w in pairs}
+            k, {canonical(s): mask_of(w) for s, w in pairs}
         )
 
     def w_side(self, s):
         if s.order >= self.k:
             raise SeparationDoesNotDecide("order %d >= k=%d" % (s.order, self.k))
         try:
-            return self.choices[s.canonical()]
+            return self.choices[canonical(s)]
         except KeyError:
             raise SeparationDoesNotDecide("separation not in explicit table")
 
@@ -429,6 +448,49 @@ def distinguishing_order(g, o1, o2, budget=DEFAULT_BUDGET):
             if best is None or s.order < best:
                 best = s.order
     return best
+
+
+def contract_tree_edge(td, s, t):
+    """td with the tree edge st contracted; the merged node gets a fresh
+    id, one above the largest."""
+    if not td.has_tree_edge(s, t):
+        raise NotAnEdge("(%s,%s) is not a tree edge" % (s, t))
+    new = max(td.nodes) + 1
+    edges = set()
+    for a, b in td.tree_edges:
+        if {a, b} == {s, t}:
+            continue
+        a2 = new if a in (s, t) else a
+        b2 = new if b in (s, t) else b
+        edges.add((min(a2, b2), max(a2, b2)))
+    bags = {n: td.bags[n] for n in td.nodes - {s, t}}
+    bags[new] = td.bags[s] | td.bags[t]
+    return TreeDecomposition(edges, bags)
+
+
+def reference_contract_blue(td, coloring):
+    """``pipeline.contract_blue`` one decomposition per step: contract
+    the least all-blue tree edge by ``contract_tree_edge`` and rename
+    the F edges, until no tree edge is all blue."""
+    colors = dict(coloring.color)
+    f = coloring.f_edges
+    while True:
+        edge = None
+        for e in sorted(td.tree_edges):
+            if colors[e[0]] == "blue" and colors[e[1]] == "blue":
+                edge = e
+                break
+        if edge is None:
+            break
+        s, t = edge
+        td = contract_tree_edge(td, s, t)
+        fresh = max(td.nodes)
+        del colors[s]
+        del colors[t]
+        colors[fresh] = "blue"
+        f = {tuple(sorted(fresh if x in edge else x for x in e)) for e in f}
+    remaining_f = frozenset(e for e in f if e in td.tree_edges)
+    return td, Coloring(colors, remaining_f, frozenset())
 
 
 def torso_at_subtree(g, td, node_set):

@@ -14,6 +14,7 @@ from conftest import (
     blocks_by_definition,
     build_k_atomic_exact,
     check_join_lemma,
+    contract_tree_edge,
     distinguishing_order,
     find_meeting_model,
     home_node,
@@ -255,7 +256,7 @@ def test_criterion_8_contraction_invariance():
             continue
         done += 1
         e = sorted(td.tree_edges)[rng.randrange(len(td.tree_edges))]
-        out = td.contract_tree_edge(*e)
+        out = contract_tree_edge(td, *e)
         fresh = max(out.nodes)
         for other in sorted(td.tree_edges):
             if other == e:

@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     ExplicitOrientation,
     InconsistentOrientation,
+    contract_tree_edge,
     home_node,
     is_separation,
     torso_at_subtree,
@@ -96,7 +97,7 @@ def test_torso():
 
 def test_contract_tree_edge():
     td = path_td()
-    out = td.contract_tree_edge(1, 2)
+    out = contract_tree_edge(td, 1, 2)
     assert len(out.nodes) == 2
     fresh = max(out.nodes)
     assert out.bags[fresh] == {1, 2, 3}
@@ -112,7 +113,7 @@ def test_contraction_leaves_rest_alone():
         if not td.tree_edges:
             continue
         e = sorted(td.tree_edges)[rng.randrange(len(td.tree_edges))]
-        out = td.contract_tree_edge(*e)
+        out = contract_tree_edge(td, *e)
         fresh = max(out.nodes)
         for other in sorted(td.tree_edges):
             if other == e:

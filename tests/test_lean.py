@@ -7,14 +7,18 @@ import pytest
 from conftest import (
     brute_menger,
     build_k_atomic_exact,
+    canonical,
+    contract_tree_edge,
     full_s_k,
     is_separation,
     small_corpus,
+    sort_key,
 )
 
 from topstruct.decomposition import (
     LeannessViolation,
     TreeDecomposition,
+    parse_td,
     write_td,
 )
 from topstruct.errors import Budget, BudgetExceeded, NotAViolation
@@ -24,6 +28,7 @@ from topstruct.graph import (
     complete_graph,
     cycle_graph,
     grid_graph,
+    mask_of,
     path_graph,
     petersen_graph,
     random_graph,
@@ -35,6 +40,7 @@ from topstruct.lean import (
     improvement_step,
     lean_step_trace,
 )
+from topstruct.pipeline import Coloring, contract_blue
 from topstruct.separations import Separation, enumerate_separations
 from topstruct.verifier import verify_decomposition
 
@@ -323,6 +329,43 @@ def test_prune_matches_the_rescanning_reference():
     assert merged > 5000
 
 
+def test_mask_built_decompositions_match_their_bags():
+    """Every decomposition the lean builder steps through, that
+    ``contract_blue`` returns and that ``parse_td`` reads has
+    ``masks[t] == mask_of(bags[t])`` at each node t.  The leanness check
+    and the exchange step give equal results on a step's decomposition,
+    built from the masks the step handed over, and on the same tree
+    built from its frozenset bags."""
+    rng = random.Random(32)
+    steps = contracted = 0
+
+    def assert_masks(td):
+        assert td.masks == {t: mask_of(bag) for t, bag in td.bags.items()}
+
+    for k in (2, 3, 4):
+        for g in small_corpus(90 + k, 30, 9):
+            seps = enumerate_separations(g, k)
+            for _, td in lean_step_trace(g, k, seps=seps):
+                assert_masks(td)
+                rebuilt = TreeDecomposition(td.tree_edges, td.bags)
+                assert rebuilt == td
+                viol = td.check_k_lean(g, k, seps=seps)
+                assert rebuilt.check_k_lean(g, k, seps=seps) == viol
+                if viol is not None:
+                    out = improvement_step(g, td, viol)
+                    assert improvement_step(g, rebuilt, viol) == out
+                    assert_masks(out)
+                    steps += 1
+                color = {t: rng.choice(("red", "blue")) for t in td.nodes}
+                f = frozenset(e for e in td.tree_edges if rng.random() < 0.3)
+                out, _ = contract_blue(td, Coloring(color, f))
+                assert_masks(out)
+                contracted += out is not td
+                parsed, _, _ = parse_td(write_td(td, g.n))
+                assert_masks(parsed)
+    assert steps >= 110 and contracted >= 60
+
+
 def test_leanness_witnesses_have_full_path_systems():
     """Every witness the lean builder exchanges along has minimum order:
     by subset enumeration, no fewer than |X| vertices of A meet every
@@ -435,7 +478,7 @@ def _reference_violation(g, td, k):
                         and len(sep.side_a & td.bags[s]) >= p
                         and len(sep.side_b & td.bags[t]) >= p
                     ):
-                        key = (sep.order,) + sep.sort_key()
+                        key = (sep.order,) + sort_key(sep)
                         if best is None or key < best[0]:
                             best = (key, sep)
                 if best is not None:
@@ -456,7 +499,9 @@ def test_check_k_lean_matches_definition():
             tds = [TreeDecomposition.single_bag(g.vertices)]
             tds += [td for _, td in lean_step_trace(g, k)]
             lean = tds[-1]
-            tds += [lean.contract_tree_edge(*e) for e in sorted(lean.tree_edges)]
+            tds += [
+                contract_tree_edge(lean, *e) for e in sorted(lean.tree_edges)
+            ]
             tds += [build_k_atomic_exact(g, low) for low in range(1, k)]
             for td in tds:
                 want = _reference_violation(g, td, k)
@@ -464,7 +509,7 @@ def test_check_k_lean_matches_definition():
                 if want is not None:
                     violations += 1
                     across_nodes += want.s != want.t
-                    flipped += want.witness.canonical() != want.witness
+                    flipped += canonical(want.witness) != want.witness
     assert violations > 100 and across_nodes > 10 and flipped > 3
 
 
@@ -506,7 +551,9 @@ def test_check_k_lean_needs_no_degenerate_row_and_no_lower_order():
             tds = [TreeDecomposition.single_bag(g.vertices)]
             tds += [td for _, td in lean_step_trace(g, k, seps=seps)]
             lean = tds[-1]
-            tds += [lean.contract_tree_edge(*e) for e in sorted(lean.tree_edges)]
+            tds += [
+                contract_tree_edge(lean, *e) for e in sorted(lean.tree_edges)
+            ]
             for td in tds:
                 want = _prefix_scan(td, k, every)
                 assert td.check_k_lean(g, k, seps=every) == want
@@ -556,7 +603,9 @@ def test_check_k_lean_ignores_order_within_a_level():
             tds = [TreeDecomposition.single_bag(g.vertices)]
             tds += [td for _, td in lean_step_trace(g, k, seps=seps)]
             lean = tds[-1]
-            tds += [lean.contract_tree_edge(*e) for e in sorted(lean.tree_edges)]
+            tds += [
+                contract_tree_edge(lean, *e) for e in sorted(lean.tree_edges)
+            ]
             for td in tds:
                 want = td.check_k_lean(g, k, seps=seps)
                 for other in arrangements:
@@ -564,7 +613,7 @@ def test_check_k_lean_ignores_order_within_a_level():
                 if want is not None:
                     violations += 1
                     across_nodes += want.s != want.t
-                    flipped += want.witness.canonical() != want.witness
+                    flipped += canonical(want.witness) != want.witness
     assert violations >= 602 and across_nodes >= 80 and flipped >= 17
     assert disconnected >= 74
 

@@ -16,6 +16,7 @@ from conftest import (
     perfbench_corpora,
     planar_3_tree,
     random_cubic,
+    reference_contract_blue,
     small_corpus,
     surplus_refutes,
     torso_at_subtree,
@@ -194,6 +195,39 @@ def test_contract_blue_numbers_two_blue_components():
         "c color 4 blue\n"
     )
     assert oc.f_edges == {(1, 9), (9, 13), (9, 14)} == out.tree_edges
+
+
+def test_contract_blue_matches_the_edge_by_edge_reference():
+    """On seeded random trees of 2-14 nodes, with random node ids, bags,
+    colourings and F sets, ``contract_blue`` writes the same bytes and
+    keeps the same F edges as the reference that builds one
+    decomposition per contracted edge; with no all-blue edge it returns
+    its input itself."""
+    rng = random.Random(32)
+    contracted = untouched = 0
+    for _ in range(2500):
+        ids = rng.sample(range(1, 30), rng.randint(2, 14))
+        edges = {
+            tuple(sorted((u, rng.choice(ids[:i]))))
+            for i, u in enumerate(ids) if i
+        }
+        n = rng.randint(1, 8)
+        bags = {u: rng.sample(range(1, n + 1), rng.randint(0, n)) for u in ids}
+        td = TreeDecomposition(edges, bags)
+        blue = rng.random()
+        color = {u: "blue" if rng.random() < blue else "red" for u in ids}
+        f = frozenset(e for e in sorted(edges) if rng.random() < 0.3)
+        coloring = Coloring(color, f)
+        out, oc = contract_blue(td, coloring)
+        want, want_c = reference_contract_blue(td, coloring)
+        assert write_td(out, n, oc.color) == write_td(want, n, want_c.color)
+        assert oc == want_c
+        if want == td:
+            assert out is td
+            untouched += 1
+        else:
+            contracted += 1
+    assert contracted >= 1465 and untouched >= 1035
 
 
 # At (k, m) = (4, 4), lean node 19 is the home of the block

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import cmp_to_key
 
 import pytest
 
@@ -7,14 +8,17 @@ from conftest import (
     ExplicitOrientation,
     SeparationDoesNotDecide,
     brute_min_vertex_cut,
+    canonical,
     components,
     degenerate_members,
     full_s_k,
     is_separation,
     orientation_is_consistent,
     small_corpus,
+    sort_key,
 )
 
+from topstruct.decomposition import _tuple_less
 from topstruct.errors import (
     AdjacentPair,
     Budget,
@@ -34,7 +38,6 @@ from topstruct.separations import (
     is_tight,
     min_vertex_cut,
 )
-from topstruct.separations import _mask_key
 
 
 def test_separation_basics():
@@ -42,7 +45,7 @@ def test_separation_basics():
     assert s.separator == {3}
     assert s.order == 1
     assert s.flip().side_a == s.side_b
-    assert s.canonical() == s.flip().canonical()
+    assert canonical(s) == canonical(s.flip())
 
 
 def test_is_separation():
@@ -113,7 +116,7 @@ def _brute_separations(g, k):
             bb = b | overlap
             s = Separation(a, bb)
             if s.order < k and is_separation(g, a, bb):
-                c = s.canonical()
+                c = canonical(s)
                 expected.add((c.side_a, c.side_b))
     return expected
 
@@ -149,7 +152,7 @@ def test_enumeration_contract():
         g = random_graph(n, rng.choice([0.15, 0.3, 0.6]), rng)
         k = rng.randint(1, 4)
         seps = enumerate_separations(g, k)
-        assert all(s.canonical() == s for s in seps)
+        assert all(canonical(s) == s for s in seps)
         assert len(set(seps)) == len(seps)
         orders = [s.order for s in seps]
         assert orders == sorted(orders)
@@ -176,7 +179,14 @@ def _vertex_tuple(mask):
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def test_mask_key_sorts_like_vertex_tuples():
+def test_tuple_less_orders_like_vertex_tuples():
+    """``_tuple_less``, the leanness check's witness order, against
+    vertex tuples: on every pair of subsets of 1..7, and on random sets
+    of up to 130 vertices with prefixes of their tuples and extensions
+    past their ends."""
+    small = [m << 1 for m in range(1 << 7)]
+    for x, y in itertools.product(small, repeat=2):
+        assert _tuple_less(x, y) == (_vertex_tuple(x) < _vertex_tuple(y))
     rng = random.Random(59)
     masks = [0]
     for _ in range(400):
@@ -188,12 +198,11 @@ def test_mask_key_sorts_like_vertex_tuples():
             if m >> cut & 1 and rng.random() < 0.3:
                 masks.append(m & ((1 << cut) - 1))
         masks.append(m | 1 << rng.randint(m.bit_length() + 1, 140))
-    assert sorted(masks, key=_mask_key) == sorted(masks, key=_vertex_tuple)
+    by_less = cmp_to_key(lambda x, y: _tuple_less(y, x) - _tuple_less(x, y))
+    assert sorted(masks, key=by_less) == sorted(masks, key=_vertex_tuple)
     for _ in range(20_000):
         x, y = rng.choice(masks), rng.choice(masks)
-        assert (_mask_key(x) < _mask_key(y)) == (
-            _vertex_tuple(x) < _vertex_tuple(y)
-        )
+        assert _tuple_less(x, y) == (_vertex_tuple(x) < _vertex_tuple(y))
 
 
 def _reference_canonical(a, b):
@@ -222,11 +231,11 @@ def test_mask_built_separation_matches_set_built():
                 assert m.order == f.order == len(a & b)
                 assert m.flip() == f.flip() == Separation(b, a)
                 ca, cb = _reference_canonical(a, b)
-                assert m.canonical() == f.canonical() == Separation(ca, cb)
-                assert m.sort_key() == f.sort_key() == (
+                assert canonical(m) == canonical(f) == Separation(ca, cb)
+                assert sort_key(m) == sort_key(f) == (
                     len(a & b), tuple(sorted(ca)), tuple(sorted(cb))
                 )
-            assert s.canonical() is s
+            assert canonical(s) is s
 
 
 def test_is_tight():
@@ -278,7 +287,7 @@ def test_orientation_consistency():
     seps = full_s_k(g, 2)
     pairs = []
     for s in seps:
-        c = s.canonical()
+        c = canonical(s)
         if c.separator == {2} and 1 in c.side_a:
             pairs.append((s, c.side_a))  # W = {1,2}
         elif c.side_a == {1, 2, 3} and c.side_b == {3}:
