@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .errors import DEFAULT_BUDGET, FormatError, NotAnEdge
+from .errors import FormatError, InvariantViolation
 from .graph import bits, mask_of
 from .separations import Separation, enumerate_separations
 
@@ -98,7 +98,7 @@ class TreeDecomposition:
 
     def _require_edge(self, s, t):
         if not self.has_tree_edge(s, t):
-            raise NotAnEdge("(%s,%s) is not a tree edge" % (s, t))
+            raise InvariantViolation("(%s,%s) is not a tree edge" % (s, t))
 
     def reach(self, start, within=None, cut=()):
         """{node: parent} of the nodes reachable from ``start``, in
@@ -181,7 +181,7 @@ class TreeDecomposition:
 
     # -- leanness ------------------------------------------------------
 
-    def check_k_lean(self, g, k, budget=DEFAULT_BUDGET, *, seps=None):
+    def check_k_lean(self, g, k, *, seps=None):
         """None iff k-lean; else the first violation in canonical order.
 
         Order: smallest p, then lexicographic (s, t), then the witness of
@@ -247,7 +247,7 @@ class TreeDecomposition:
         if ordered_nodes and len(self.reach(ordered_nodes[0])) != len(ordered_nodes):
             raise ValueError("nodes in different trees")
         if seps is None:
-            seps = enumerate_separations(g, k, budget=budget)
+            seps = enumerate_separations(g, k)
         order_of = attrgetter("order")
         for p in range(1, k + 1):
             level = seps[

@@ -1,5 +1,12 @@
 """Exception types shared across the package, and the one work budget.
 
+One class per exit code of the CLI: ``BudgetExceeded`` exits 2,
+``FormatError`` exits 64 (as do ``ValueError`` and ``OSError``), and
+``InvariantViolation`` exits 70.  A failed internal certainty, which is
+a bug and never a property of the input, raises ``InvariantViolation``;
+a caller's misuse of an entry point raises ``ValueError``.  Each check
+says in its message which condition failed.
+
 Every exhaustive search charges a ``Budget`` meter: one unit per
 2-colouring of a separator's components in the S_k enumeration, per
 vertex pair of the k-block relation, per lean exchange step, and per
@@ -50,36 +57,6 @@ class Budget:
         self.spent += units
         if self.spent > self.limit:
             raise BudgetExceeded("%s budget" % stage, spent=self.spent)
-
-
-class AdjacentPair(TopstructError):
-    """Minimum vertex cut requested for an adjacent pair (undefined)."""
-
-
-class NotAnEdge(TopstructError):
-    """The given pair is not an edge of the decomposition tree."""
-
-
-class NotAViolation(TopstructError):
-    """The improvement step was handed something that is not a genuine
-    leanness violation for the given decomposition."""
-
-
-class CoverageImpossible(TopstructError):
-    """Some block/model pair has no efficiently distinguishing tree edge.
-
-    This signals a broken lean decomposition upstream, never a property
-    of the input graph.
-    """
-
-
-class BichromaticComponent(TopstructError):
-    """A component of T - F contains both a block home node and a model
-    home node; the pipeline should have exited with a subdivision."""
-
-
-class PreconditionFailed(TopstructError):
-    """An operation's stated precondition does not hold."""
 
 
 class InvariantViolation(TopstructError):

@@ -79,9 +79,6 @@ class Graph:
 
     # -- connectivity --------------------------------------------------
 
-    def component_masks(self, mask):
-        return _kernels.components(self._adj, mask)
-
     def is_connected_set(self, vertices):
         return _kernels.is_connected(self._adj, mask_of(vertices))
 

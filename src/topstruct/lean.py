@@ -22,7 +22,7 @@ against is a test reference, in ``tests/conftest.py``.
 from bisect import bisect_left
 
 from .decomposition import TreeDecomposition
-from .errors import DEFAULT_BUDGET, Budget, InvariantViolation, NotAViolation
+from .errors import DEFAULT_BUDGET, Budget, InvariantViolation
 from .flows import disjoint_path_system
 from .separations import enumerate_separations, is_mask_separation
 
@@ -50,7 +50,8 @@ def improvement_step(g, td, viol):
     The witness (A, B), with X = A ∩ B, must be of minimum order: inside
     each side, |X| disjoint paths join X to the bag that side covers,
     V_s ∩ A in G[A] and V_t ∩ B in G[B].  Otherwise this raises
-    ``NotAViolation``.  ``check_k_lean`` never returns another witness.
+    ``InvariantViolation``.  ``check_k_lean`` never returns another
+    witness.
     Its witness at level p has |X| = p - 1.  Suppose some S ⊆ A with
     |S| < |X| met every X–(V_s ∩ A) path in G[A], and let R be what
     (V_s ∩ A) ∖ S reaches in G[A ∖ S].  Then (R ∪ S, B ∪ (A ∖ R)) is a
@@ -74,7 +75,7 @@ def improvement_step(g, td, viol):
     """
     bag_masks = td.masks
     if not _violation_is_genuine(g, td, viol, bag_masks):
-        raise NotAViolation("not a leanness violation for this decomposition")
+        raise InvariantViolation("not a leanness violation for this decomposition")
     sep = viol.witness
     mask_a, mask_b = sep.mask_a, sep.mask_b
     x = mask_a & mask_b
@@ -85,7 +86,7 @@ def improvement_step(g, td, viol):
     for side, node in ((mask_a, viol.s), (mask_b, viol.t)):
         paths, _ = disjoint_path_system(g, x, bag_masks[node] & side, side)
         if len(paths) < sep.order:
-            raise NotAViolation("witness is not of minimum order")
+            raise InvariantViolation("witness is not of minimum order")
         path_bits.append(
             [(1 << p[0], sum(1 << v for v in p)) for p in paths if p[1:]]
         )

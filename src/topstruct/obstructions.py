@@ -8,12 +8,7 @@ branch vertices through a Z-based model of a copy graph.
 import itertools
 from dataclasses import dataclass
 
-from .errors import (
-    DEFAULT_BUDGET,
-    Budget,
-    InvariantViolation,
-    PreconditionFailed,
-)
+from .errors import DEFAULT_BUDGET, Budget, InvariantViolation
 from .graph import Graph, bits, mask_of, set_of
 from .separations import min_vertex_cut
 
@@ -504,9 +499,9 @@ def extract_subdivision(g, b0, budget=DEFAULT_BUDGET):
     b0 = tuple(sorted(set(b0)))
     r = len(b0)
     if r < 2:
-        raise PreconditionFailed("need at least two branch vertices")
+        raise ValueError("need at least two branch vertices")
     if b0[0] < 1 or b0[-1] > g.n:
-        raise PreconditionFailed("branch vertices must be vertices of g")
+        raise ValueError("branch vertices must be vertices of g")
     budget = Budget.of(budget)
     h, copies = _copy_graph(g, b0, r - 1)
     j_all = sorted(v for vs in copies.values() for v in vs)

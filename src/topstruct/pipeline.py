@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .decomposition import TreeDecomposition
-from .errors import (
-    DEFAULT_BUDGET,
-    BichromaticComponent,
-    Budget,
-    CoverageImpossible,
-    InvariantViolation,
-)
+from .errors import DEFAULT_BUDGET, Budget, InvariantViolation
 from .lean import build_k_lean
 from .obstructions import (
     branch_count_fits,
@@ -122,7 +116,7 @@ def select_f(g, td, block_homes, model_homes):
         for tx in sorted(set(model_homes)):
             eff = _efficient_edges(td, tb, tx)
             if not eff:
-                raise CoverageImpossible(
+                raise InvariantViolation(
                     "no efficient edge between nodes %d and %d" % (tb, tx)
                 )
             pairs.append(frozenset(eff))
@@ -156,7 +150,7 @@ def color_nodes(td, f, block_homes, model_homes):
         has_block = any(t in block_homes for t in comp)
         has_model = any(t in model_homes for t in comp)
         if has_block and has_model:
-            raise BichromaticComponent(
+            raise InvariantViolation(
                 "component %r holds both home-node kinds" % sorted(comp)
             )
         if not has_block and not has_model:

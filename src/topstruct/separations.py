@@ -7,7 +7,7 @@ edge between the exclusive parts; its order is |A ∩ B|.
 import itertools
 
 from . import _kernels
-from .errors import DEFAULT_BUDGET, AdjacentPair, Budget
+from .errors import DEFAULT_BUDGET, Budget
 from .graph import bits, mask_of
 
 
@@ -103,7 +103,7 @@ def min_vertex_cut(g, u, v):
     if u == v:
         raise ValueError("u and v must differ")
     if g.has_edge(u, v):
-        raise AdjacentPair("(%d,%d) is an edge; cut undefined" % (u, v))
+        raise ValueError("(%d,%d) is an edge; cut undefined" % (u, v))
     allowed = g.vertex_mask & ~(1 << u) & ~(1 << v)
     return _kernels.max_disjoint_paths(g.adj, g.n, g.adj[u], g.adj[v], allowed)
 

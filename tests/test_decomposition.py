@@ -17,7 +17,7 @@ from topstruct.decomposition import (
     renumbered,
     write_td,
 )
-from topstruct.errors import FormatError, NotAnEdge
+from topstruct.errors import FormatError, InvariantViolation
 from topstruct.graph import (
     Graph,
     cycle_graph,
@@ -66,7 +66,7 @@ def test_induced_separation_and_order():
     assert td.edge_order(1, 2) == 1
     assert td.adhesion() == 1
     assert is_separation(g, s.side_a, s.side_b)
-    with pytest.raises(NotAnEdge):
+    with pytest.raises(InvariantViolation, match="not a tree edge"):
         td.induced_separation(1, 3)
 
 

@@ -21,7 +21,7 @@ from topstruct.decomposition import (
     parse_td,
     write_td,
 )
-from topstruct.errors import Budget, BudgetExceeded, NotAViolation
+from topstruct.errors import Budget, BudgetExceeded, InvariantViolation
 from topstruct.graph import (
     Graph,
     bits,
@@ -82,10 +82,10 @@ def test_improvement_step_rejects_non_violation():
     td = TreeDecomposition.single_bag([1, 2, 3])
     # p larger than what the sides hold
     bogus = LeannessViolation(1, 1, 4, Separation({1, 2}, {2, 3}))
-    with pytest.raises(NotAViolation):
+    with pytest.raises(InvariantViolation, match="not a leanness violation"):
         improvement_step(g, td, bogus)
     wrong_node = LeannessViolation(5, 5, 2, Separation({1, 2}, {2, 3}))
-    with pytest.raises(NotAViolation):
+    with pytest.raises(InvariantViolation, match="not a leanness violation"):
         improvement_step(g, td, wrong_node)
 
 
@@ -97,14 +97,14 @@ def test_improvement_step_rejects_thin_sides_and_non_separations():
     left, right = {1, 2, 3}, {3, 4, 5}
     for node, a, b in [(1, left, right), (1, right, left), (2, left, right)]:
         viol = LeannessViolation(node, node, 2, Separation(a, b))
-        with pytest.raises(NotAViolation):
+        with pytest.raises(InvariantViolation, match="not a leanness violation"):
             improvement_step(g, td, viol)
     # on the single bag the sides are thick enough; the first pair is
     # crossed by the edge 34, the second leaves vertex 5 uncovered
     whole = TreeDecomposition.single_bag(range(1, 6))
     for p, a, b in [(1, {1, 2, 3}, {4, 5}), (2, {1, 2, 3}, {3, 4})]:
         viol = LeannessViolation(1, 1, p, Separation(a, b))
-        with pytest.raises(NotAViolation):
+        with pytest.raises(InvariantViolation, match="not a leanness violation"):
             improvement_step(g, whole, viol)
     viol = LeannessViolation(1, 1, 2, Separation(left, right))
     assert verify_decomposition(g, improvement_step(g, whole, viol))
@@ -147,7 +147,7 @@ def test_improvement_step_rejects_a_non_minimum_witness():
     ):
         assert is_separation(g, witness.side_a, witness.side_b)
         viol = LeannessViolation(1, 1, 3, witness)
-        with pytest.raises(NotAViolation, match="minimum order"):
+        with pytest.raises(InvariantViolation, match="minimum order"):
             improvement_step(g, td, viol)
     viol = td.check_k_lean(g, 4)
     assert (viol.s, viol.t, viol.p) == (1, 1, 2)

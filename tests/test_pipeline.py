@@ -25,12 +25,7 @@ from conftest import (
 
 from topstruct import obstructions, pipeline
 from topstruct.decomposition import TreeDecomposition, write_td
-from topstruct.errors import (
-    BichromaticComponent,
-    Budget,
-    BudgetExceeded,
-    CoverageImpossible,
-)
+from topstruct.errors import Budget, BudgetExceeded, InvariantViolation
 from topstruct.graph import (
     Graph,
     complete_graph,
@@ -134,7 +129,7 @@ def test_select_f_cases():
     # two pairs share one efficient edge: F stays a singleton
     f = select_f(g, td, {1, 2}, {3})
     assert f == frozenset({(2, 3)})
-    with pytest.raises(CoverageImpossible):
+    with pytest.raises(InvariantViolation, match="no efficient edge"):
         select_f(g, td, {2}, {2})
 
 
@@ -144,7 +139,7 @@ def test_color_nodes_cases():
     assert set(c.color.values()) == {"blue"}
     c = color_nodes(td, {(2, 3)}, {1}, {3})
     assert c.color == {1: "blue", 2: "blue", 3: "red"}
-    with pytest.raises(BichromaticComponent):
+    with pytest.raises(InvariantViolation, match="both home-node kinds"):
         color_nodes(td, set(), {1}, {3})
     c = color_nodes(td, {(1, 2)}, {1}, set())
     assert c.color == {1: "blue", 2: "blue", 3: "blue"}

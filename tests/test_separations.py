@@ -19,11 +19,7 @@ from conftest import (
 )
 
 from topstruct.decomposition import _tuple_less
-from topstruct.errors import (
-    AdjacentPair,
-    Budget,
-    BudgetExceeded,
-)
+from topstruct.errors import Budget, BudgetExceeded
 from topstruct.graph import (
     complete_bipartite,
     complete_graph,
@@ -60,7 +56,7 @@ def test_min_vertex_cut_known_values():
     assert min_vertex_cut(cycle_graph(5), 1, 3) == 2
     assert min_vertex_cut(complete_bipartite(3, 3), 1, 2) == 3
     assert min_vertex_cut(petersen_graph(), 1, 8) == 3
-    with pytest.raises(AdjacentPair):
+    with pytest.raises(ValueError, match="cut undefined"):
         min_vertex_cut(path_graph(2), 1, 2)
 
 

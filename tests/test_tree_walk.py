@@ -15,7 +15,7 @@ import pytest
 from conftest import brute_closure, brute_is_tree
 
 from topstruct.decomposition import TreeDecomposition
-from topstruct.errors import BichromaticComponent
+from topstruct.errors import InvariantViolation
 from topstruct.graph import Graph
 from topstruct.pipeline import color_nodes
 from topstruct.verifier import verify_decomposition
@@ -203,7 +203,7 @@ def test_color_nodes_components_of_t_minus_f():
                 assert coloring.color[x] == (kind[min(c)] or "blue")
         if block_homes:
             c = next(c for c in comps if c & block_homes)
-            with pytest.raises(BichromaticComponent):
+            with pytest.raises(InvariantViolation, match="both home-node kinds"):
                 color_nodes(
                     td, f, block_homes, model_homes | {rng.choice(sorted(c))}
                 )
